@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import beta
 
 from .bounds import LogProb
 from .processes import EventSpec, EventVariant, IncrementLaw, event_hits, make_generator
@@ -45,9 +44,11 @@ def clopper_pearson(hits: int, trials: int, gamma: float) -> tuple[float, float]
         raise ValueError(f"need 0 <= hits <= trials, got hits={hits}, trials={trials}")
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    from scipy.special import betaincinv  # the beta quantile, kept off the import path
+
     alpha = 1.0 - gamma
-    lo = 0.0 if hits == 0 else float(beta.ppf(alpha / 2.0, hits, trials - hits + 1))
-    hi = 1.0 if hits == trials else float(beta.ppf(1.0 - alpha / 2.0, hits + 1, trials - hits))
+    lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
+    hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - alpha / 2.0))
     return lo, hi
 
 

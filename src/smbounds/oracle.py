@@ -1,4 +1,4 @@
-"""Exact event probabilities for finite-support IID increments at small n.
+"""Exact event probabilities for finite-support IID increments.
 
 Since the increments are IID, the quadratic characteristic is the
 deterministic ramp k * m2, so the stopped event reduces to first passage of
@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import bounds as bnd
 from .processes import IncrementLaw
@@ -130,6 +132,70 @@ def _lattice_step(values: list[float]) -> Fraction | None:
     return Fraction(max(num_gcd, 1), denom)
 
 
+def _propagate(
+    law: LatticeLaw, n: int, x: float, absorb: bool
+) -> tuple[list[float], np.ndarray, np.ndarray, float]:
+    """Propagate the exact distribution of the partial sums for n steps.
+
+    States are sorted numpy keys with their masses.  On the dyadic lattice a
+    key is the exact integer index of the sum in units of the lattice step;
+    off the lattice it is the integer q with sum q * MERGE_TOL, advanced as
+    rint((q * MERGE_TOL + a) / MERGE_TOL) and held as an integer-valued
+    float64 (exact, since q is the rounding of a double).  With ``absorb``,
+    mass whose sum reaches x leaves the distribution at that step.
+
+    Returns (absorbed probability by step k for k = 0..n, the surviving sums,
+    their masses, and the surviving mass at or above x).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    values = [v for v, _ in law.atoms]
+    probs = np.array([p for _, p in law.atoms])[:, None]
+    step = _lattice_step(values)
+    if step is not None:
+        shifts = np.array([int(Fraction(v) / step) for v in values], dtype=np.int64)
+        reach = n * int(np.abs(shifts).max()) + 1
+        if reach >= 2**53:
+            raise StateSpaceError(
+                f"lattice indices up to {reach} exceed 2**53; the sums would not be exact"
+            )
+        # clamped to the reachable range, the threshold fits in int64 and
+        # every comparison against it is unchanged
+        threshold = max(-reach, min(reach, math.ceil(Fraction(x) / step)))
+        keys = np.zeros(1, dtype=np.int64)
+    else:
+        shifts = np.array(values)
+        cut = x - MERGE_TOL * max(1.0, abs(x))
+        keys = np.zeros(1)
+    shifts = shifts[:, None]
+
+    def reached(keys: np.ndarray) -> np.ndarray:
+        if step is not None:
+            return keys >= threshold
+        return keys * MERGE_TOL >= cut
+
+    mass = np.ones(1)
+    absorbed_cum = [0.0]
+    for _ in range(n):
+        if step is not None:
+            keys = (keys + shifts).ravel()
+        else:
+            keys = np.rint((keys * MERGE_TOL + shifts) / MERGE_TOL).ravel()
+        mass = (mass * probs).ravel()
+        if absorb:
+            hit = reached(keys)
+            absorbed_cum.append(absorbed_cum[-1] + float(mass[hit].sum()))
+            keys, mass = keys[~hit], mass[~hit]
+        keys, index = np.unique(keys, return_inverse=True)
+        mass = np.bincount(index, weights=mass, minlength=len(keys))
+        if len(keys) > STATE_CAP:
+            raise StateSpaceError(
+                f"{len(keys)} reachable states exceed the cap {STATE_CAP}"
+            )
+    sums = keys * float(step) if step is not None else keys * MERGE_TOL
+    return absorbed_cum, sums, mass, math.fsum(mass[reached(keys)])
+
+
 def first_passage_dp(
     law: LatticeLaw, n: int, x: float
 ) -> tuple[list[float], list[tuple[float, float]], float]:
@@ -140,85 +206,14 @@ def first_passage_dp(
     surviving final distribution as (sum, prob) pairs, and the mass defect
     |1 - absorbed - surviving|).
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    values = [v for v, _ in law.atoms]
-    step = _lattice_step(values)
-
-    if step is not None:
-        atom_keys = [int(Fraction(v) / step) for v in values]
-        threshold = math.ceil(Fraction(x) / step)
-        to_value = lambda key: float(key * step)
-    else:
-        atom_keys = values
-        threshold = None  # compared against MERGE_TOL-rounded float sums
-        to_value = lambda key: key
-
-    def absorbed(key) -> bool:
-        if threshold is not None:
-            return key >= threshold
-        return key >= x - MERGE_TOL * max(1.0, abs(x))
-
-    def merge(key):
-        if threshold is not None:
-            return key
-        return round(key / MERGE_TOL) * MERGE_TOL
-
-    probs = [p for _, p in law.atoms]
-    dist = {merge(0 if threshold is not None else 0.0): 1.0}
-    absorbed_cum = [0.0]
-    for _ in range(n):
-        new_dist: dict = {}
-        hit = 0.0
-        for key, mass in dist.items():
-            for ak, ap in zip(atom_keys, probs):
-                nk = merge(key + ak)
-                m = mass * ap
-                if absorbed(nk):
-                    hit += m
-                else:
-                    new_dist[nk] = new_dist.get(nk, 0.0) + m
-        if len(new_dist) > STATE_CAP:
-            raise StateSpaceError(
-                f"{len(new_dist)} reachable states exceed the cap {STATE_CAP}"
-            )
-        absorbed_cum.append(absorbed_cum[-1] + hit)
-        dist = new_dist
-    surviving = math.fsum(dist.values())
-    defect = abs(1.0 - absorbed_cum[-1] - surviving)
-    final = [(to_value(k), p) for k, p in dist.items()]
-    return absorbed_cum, final, defect
+    absorbed_cum, sums, mass, _ = _propagate(law, n, x, absorb=True)
+    defect = abs(1.0 - absorbed_cum[-1] - math.fsum(mass))
+    return absorbed_cum, list(zip(sums.tolist(), mass.tolist())), defect
 
 
 def _free_final_tail(law: LatticeLaw, n: int, x: float) -> float:
     """P(X_n >= x) with no absorption, by the same state propagation."""
-    values = [v for v, _ in law.atoms]
-    step = _lattice_step(values)
-    if step is not None:
-        atom_keys = [int(Fraction(v) / step) for v in values]
-        threshold = math.ceil(Fraction(x) / step)
-        at_or_above = lambda key: key >= threshold
-        merge = lambda key: key
-        start = 0
-    else:
-        atom_keys = values
-        at_or_above = lambda key: key >= x - MERGE_TOL * max(1.0, abs(x))
-        merge = lambda key: round(key / MERGE_TOL) * MERGE_TOL
-        start = 0.0
-    probs = [p for _, p in law.atoms]
-    dist = {start: 1.0}
-    for _ in range(n):
-        new_dist: dict = {}
-        for key, mass in dist.items():
-            for ak, ap in zip(atom_keys, probs):
-                nk = merge(key + ak)
-                new_dist[nk] = new_dist.get(nk, 0.0) + mass * ap
-        if len(new_dist) > STATE_CAP:
-            raise StateSpaceError(
-                f"{len(new_dist)} reachable states exceed the cap {STATE_CAP}"
-            )
-        dist = new_dist
-    return math.fsum(p for k, p in dist.items() if at_or_above(k))
+    return _propagate(law, n, x, absorb=False)[3]
 
 
 def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import gammainc
 
 __all__ = [
     "TwoPointExtremal",
@@ -154,12 +153,13 @@ class CenteredExponential:
         return 1.0
 
     def truncated_second_moment(self, y: float) -> float:
-        """E[xi^2 1{xi <= y}] via regularized lower incomplete gammas of the
-        shifted variable: 2 P(3, c) - 2 P(2, c) + P(1, c) at c = y + 1."""
+        """E[xi^2 1{xi <= y}] = 1 - e^{-c} (c^2 + 1) at c = y + 1, the closed
+        form of 2 P(3, c) - 2 P(2, c) + P(1, c) in regularized lower
+        incomplete gammas of the shifted variable."""
         if y <= 0:
             raise ValueError(f"truncation level y must be > 0, got {y}")
         c = y + 1.0
-        return float(2.0 * gammainc(3.0, c) - 2.0 * gammainc(2.0, c) + gammainc(1.0, c))
+        return 1.0 - math.exp(-c) * (c * c + 1.0)
 
     def exceed_prob(self, y: float) -> float:
         if y <= 0:

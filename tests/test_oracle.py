@@ -1,6 +1,7 @@
 """Exact first-passage oracle: DP vs enumeration, closed-form cases, caps."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,11 +106,62 @@ class TestDpVsEnumeration:
             orc.exact_event_probability(RADEMACHER, 26, 1.0, 10.0, method="enumerate")
 
 
+def _reference_dp(law, n, x):
+    """The state propagation as a plain dict loop over Python scalars: exact
+    lattice indices, or float sums rounded to multiples of MERGE_TOL."""
+    values = [v for v, _ in law.atoms]
+    step = orc._lattice_step(values)
+    tol = orc.MERGE_TOL
+    if step is not None:
+        shifts = [int(Fraction(v) / step) for v in values]
+        threshold = math.ceil(Fraction(x) / step)
+        advance = lambda key, a: key + a
+        reached = lambda key: key >= threshold
+        to_value = lambda key: float(key * step)
+    else:
+        shifts = values
+        advance = lambda key, a: round((key + a) / tol) * tol
+        reached = lambda key: key >= x - tol * max(1.0, abs(x))
+        to_value = lambda key: key
+    dist = {0: 1.0}
+    absorbed_cum = [0.0]
+    for _ in range(n):
+        new_dist, hit = {}, 0.0
+        for key, mass in dist.items():
+            for a, (_, p) in zip(shifts, law.atoms):
+                nk = advance(key, a)
+                if reached(nk):
+                    hit += mass * p
+                else:
+                    new_dist[nk] = new_dist.get(nk, 0.0) + mass * p
+        absorbed_cum.append(absorbed_cum[-1] + hit)
+        dist = new_dist
+    return absorbed_cum, {to_value(k): p for k, p in dist.items()}
+
+
 class TestDpInternals:
     def test_mass_conservation(self):
         for law in TestDpVsEnumeration.LAWS:
             _, _, defect = orc.first_passage_dp(law, 12, 1.5)
             assert defect <= 1e-12
+
+    def test_states_match_the_reference_loop(self):
+        # the same state keys, hence the same surviving sums and absorption
+        # decisions; masses are summed in another order, so they may differ
+        # by a few ulps per step
+        rng = np.random.default_rng(13)
+        laws = TestDpVsEnumeration.LAWS + [
+            orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
+            for spec in ("bounded:0.45", "drifted:0.5,0.1")]
+        for law in laws:
+            for n in (1, 5, 40, 120):
+                x = float(rng.uniform(-1.0, 0.6 * n))
+                absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
+                ref_cum, ref_final = _reference_dp(law, n, x)
+                assert [s for s, _ in final] == sorted(ref_final)
+                assert np.allclose([p for _, p in final],
+                                   [ref_final[s] for s, _ in final], rtol=0, atol=1e-14)
+                assert np.allclose(absorbed_cum, ref_cum, rtol=0, atol=1e-14)
 
     def test_nesting_invariant(self):
         rng = np.random.default_rng(11)
@@ -129,6 +181,54 @@ class TestDpInternals:
         monkeypatch.setattr(orc, "STATE_CAP", 30)
         with pytest.raises(orc.StateSpaceError):
             orc.first_passage_dp(RADEMACHER, 40, 1e9)
+
+    def test_lattice_index_range_refusal(self):
+        # step 1/2 and an atom at 2**40 + 1/2 put index 2**41 + 1 on the
+        # lattice; 4096 steps of it would pass 2**53
+        law = orc.LatticeLaw(((2.0**40 + 0.5, 0.5), (-0.5, 0.5)))
+        orc.first_passage_dp(law, 4095, 1.0)
+        with pytest.raises(orc.StateSpaceError):
+            orc.first_passage_dp(law, 4096, 1.0)
+
+
+def _rademacher_tail(n: int, m: int) -> float:
+    """P(S_n >= m) for the simple random walk, exact from binomial counts."""
+    k_min = max(0, -(-(m + n) // 2))
+    return sum(math.comb(n, k) for k in range(k_min, n + 1)) / 2**n
+
+
+class TestLargeHorizon:
+    N = 2000
+
+    @pytest.mark.parametrize("m", [1, 37, 90, 150])
+    def test_rademacher_reflection_principle(self, m):
+        # P(max_k S_k >= m) = P(S_n >= m) + P(S_n >= m + 1) on the integer walk
+        res = orc.exact_event_probability(
+            RADEMACHER, self.N, float(m), math.sqrt(self.N * 1.0000001))
+        final = _rademacher_tail(self.N, m)
+        assert res.p_stopped == pytest.approx(final + _rademacher_tail(self.N, m + 1),
+                                              rel=1e-12)
+        assert res.p_final == pytest.approx(final, rel=1e-12)
+
+    def test_extremal_all_ones_path(self):
+        n = 1000
+        law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(1.0))
+        res = orc.exact_event_probability(law, n, float(n), math.sqrt(n * 1.0000001))
+        assert res.p_stopped == pytest.approx(2.0**-n, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", ["bounded:0.45", "drifted:0.5,0.1"])
+    def test_mass_conservation_off_lattice(self, spec):
+        law = orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
+        _, _, defect = orc.first_passage_dp(law, self.N, 0.3 * self.N)
+        assert defect <= 1e-12
+
+
+def test_float_branch_value_is_pinned():
+    # tolerance-merged float states decide this event; a change to the event
+    # arithmetic must change this value on purpose
+    law = orc.LatticeLaw.from_increment_law(prc.parse_law("bounded:0.45"))
+    res = orc.exact_event_probability(law, 3, 0.1, math.sqrt(3 * law.m2 * (1 + 1e-7)))
+    assert res.p_stopped == pytest.approx(0.6719832711468285, abs=1e-15)
 
 
 class TestExactVsBound:

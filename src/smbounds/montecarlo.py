@@ -5,20 +5,27 @@ Trials are partitioned into fixed 2^16-path chunks; chunk j draws from a
 counter-based substream keyed by (seed, j), so hit counts are bit-identical
 no matter how the chunks are scheduled, and path i is the same path in every
 run with the same seed.
+
+Each chunk's substream is drawn in row blocks of about BLOCK_ELEMS steps.
+The generator fills rows in order, so the blocks concatenate to the chunk
+drawn at once, and hit counts do not depend on the block size.  Each block's
+partial sums are taken once, in place, and every event is tested on them, so
+memory is O(block x n) for any n and number of trials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .bounds import LogProb
-from .processes import EventSpec, EventVariant, IncrementLaw, event_hits, make_generator
+from .processes import EventSpec, EventVariant, IncrementLaw, hits_from_sums, make_generator
 
 __all__ = [
     "CHUNK_SIZE",
+    "BLOCK_ELEMS",
     "Estimate",
     "BoundCheck",
     "NestedEstimates",
@@ -32,6 +39,9 @@ __all__ = [
 
 #: Fixed chunk size; substream j covers paths [j * CHUNK_SIZE, (j+1) * CHUNK_SIZE).
 CHUNK_SIZE = 1 << 16
+
+#: Steps per row block; a chunk is drawn max(1, BLOCK_ELEMS // n) paths at a time.
+BLOCK_ELEMS = 1 << 18
 
 
 def clopper_pearson(hits: int, trials: int, gamma: float) -> tuple[float, float]:
@@ -87,14 +97,29 @@ class NestedEstimates:
     nesting_ok: bool  # final => max => stopped held on every path
 
 
-def _chunks(trials: int):
-    index = 0
-    done = 0
-    while done < trials:
-        m = min(CHUNK_SIZE, trials - done)
-        yield index, m
-        index += 1
-        done += m
+def _count_hits(
+    law: IncrementLaw, specs: Sequence[EventSpec], n: int, trials: int, seed: int
+) -> tuple[list[int], bool]:
+    """Hit counts of each spec over `trials` paths, and whether every path
+    that hits one spec also hits the next one in `specs`."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    counts = [0] * len(specs)
+    nesting_ok = True
+    rows = max(1, BLOCK_ELEMS // n)
+    for index, first in enumerate(range(0, trials, CHUNK_SIZE)):
+        m = min(CHUNK_SIZE, trials - first)
+        rng = make_generator(seed, index)
+        for done in range(0, m, rows):
+            block = law.sample(rng, (min(rows, m - done), n))
+            ps = np.cumsum(block, axis=1, out=block)
+            flags = [hits_from_sums(law, ps, spec) for spec in specs]
+            for i, hit in enumerate(flags):
+                counts[i] += int(np.count_nonzero(hit))
+            nesting_ok = nesting_ok and all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))
+    return counts, nesting_ok
 
 
 def _build_estimate(
@@ -114,15 +139,7 @@ def estimate_events(
 ) -> list[Estimate]:
     """Estimate several events on the same simulated paths (shared seeds mean
     shared paths, so per-path comparisons across specs are meaningful)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    counts = [0] * len(specs)
-    for index, m in _chunks(trials):
-        inc = law.sample(make_generator(seed, index), (m, n))
-        for i, spec in enumerate(specs):
-            counts[i] += int(event_hits(law, inc, spec).sum())
+    counts, _ = _count_hits(law, specs, n, trials, seed)
     return [
         _build_estimate(law, spec, n, trials, hits, gamma, seed)
         for spec, hits in zip(specs, counts)
@@ -149,7 +166,6 @@ def nested_event_estimates(
     trials: int,
     seed: int,
     gamma: float = 0.95,
-    y: Optional[float] = None,
 ) -> NestedEstimates:
     """Estimate the final-time, running-max, and stopped events on the same
     paths and check the per-path implications final => max => stopped."""
@@ -158,16 +174,7 @@ def nested_event_estimates(
         EventSpec(x, v, EventVariant.MAX_WITH_FINAL_QC),
         EventSpec(x, v, EventVariant.STOPPED_ANY_K),
     ]
-    counts = [0, 0, 0]
-    nesting_ok = True
-    for index, m in _chunks(trials):
-        inc = law.sample(make_generator(seed, index), (m, n))
-        flags = [event_hits(law, inc, spec) for spec in specs]
-        for i in range(3):
-            counts[i] += int(flags[i].sum())
-        nesting_ok = nesting_ok and bool(
-            np.all(flags[1] | ~flags[0]) and np.all(flags[2] | ~flags[1])
-        )
+    counts, nesting_ok = _count_hits(law, specs, n, trials, seed)
     est = [
         _build_estimate(law, spec, n, trials, hits, gamma, seed)
         for spec, hits in zip(specs, counts)

@@ -31,6 +31,7 @@ __all__ = [
     "simulate_path",
     "event_hit",
     "event_hits",
+    "hits_from_sums",
 ]
 
 _U64 = (1 << 64) - 1
@@ -298,31 +299,44 @@ def event_hit(path: PathRecord, spec: EventSpec) -> bool:
 
 
 def event_hits(law: IncrementLaw, increments: np.ndarray, spec: EventSpec) -> np.ndarray:
-    """Vectorized event indicators for a (paths, n) increment matrix.
-
-    The variance processes are deterministic for IID laws, so the per-k budget
-    conditions reduce to a boolean mask over k shared by all paths.
-    """
+    """Vectorized event indicators for a (paths, n) increment matrix: the
+    partial sums along each row, then `hits_from_sums`."""
     if increments.ndim != 2:
         raise ValueError(f"expected a (paths, n) matrix, got shape {increments.shape}")
-    n = increments.shape[1]
-    ps = np.cumsum(increments, axis=1)
-    steps = np.arange(1, n + 1, dtype=float)
+    return hits_from_sums(law, np.cumsum(increments, axis=1), spec)
+
+
+def _budget_steps(per_step: float, n: int, v2: float) -> int:
+    """Number of steps k in [1, n] with per_step * k <= v2.  The budget grows
+    with k, so these steps are the leading ones."""
+    return int(np.count_nonzero(per_step * np.arange(1, n + 1, dtype=float) <= v2))
+
+
+def hits_from_sums(law: IncrementLaw, ps: np.ndarray, spec: EventSpec) -> np.ndarray:
+    """Vectorized event indicators for a (paths, n) matrix of partial sums.
+
+    The variance processes are deterministic for IID laws, so the per-k budget
+    condition holds on the same leading steps k <= k_max of every path, and
+    the k-wise variants scan only those columns.
+    """
+    if ps.ndim != 2:
+        raise ValueError(f"expected a (paths, n) matrix, got shape {ps.shape}")
+    n = ps.shape[1]
     v2 = spec.v**2
     if spec.variant is EventVariant.STOPPED_ANY_K:
-        kmask = law.second_moment() * steps <= v2
-        return np.any((ps >= spec.x) & kmask, axis=1)
+        k_max = _budget_steps(law.second_moment(), n, v2)
+        return np.any(ps[:, :k_max] >= spec.x, axis=1)
     if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
         if law.second_moment() * n > v2:
-            return np.zeros(increments.shape[0], dtype=bool)
+            return np.zeros(ps.shape[0], dtype=bool)
         return np.any(ps >= spec.x, axis=1)
     if spec.variant is EventVariant.FINAL_ONLY:
         if law.second_moment() * n > v2:
-            return np.zeros(increments.shape[0], dtype=bool)
+            return np.zeros(ps.shape[0], dtype=bool)
         return ps[:, -1] >= spec.x
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
-        kmask = law.truncated_second_moment(spec.y) * steps <= v2
-        return np.any((ps >= spec.x) & kmask, axis=1)
+        k_max = _budget_steps(law.truncated_second_moment(spec.y), n, v2)
+        return np.any(ps[:, :k_max] >= spec.x, axis=1)
     raise AssertionError(f"unhandled variant {spec.variant}")
 
 

@@ -1,6 +1,7 @@
 """Monte Carlo estimation: exact intervals, determinism, verdicts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from smbounds.bounds import LogProb, TailQuery, hoeffding
 RADEMACHER = prc.TwoPointBounded(1.0)
 STOPPED = prc.EventVariant.STOPPED_ANY_K
 FINAL = prc.EventVariant.FINAL_ONLY
+MAX = prc.EventVariant.MAX_WITH_FINAL_QC
+TRUNCATED = prc.EventVariant.TRUNCATED_ANY_K
+LAWS = ["extremal:0.5", "bounded:0.45", "drifted:0.5,0.1", "cexp"]
 
 
 class TestClopperPearson:
@@ -116,6 +120,103 @@ class TestNestedEstimates:
         spec = prc.EventSpec(1.0, 3.0, STOPPED)
         alone = mc.estimate_event(RADEMACHER, spec, 6, 70_000, seed=8)
         assert nested.stopped.hits == alone.hits
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("text", LAWS)
+    def test_blocks_concatenate_to_the_chunk(self, text):
+        # the exponential's ziggurat consumes a variable number of draws per
+        # variate; the stream still continues exactly across calls
+        law = prc.parse_law(text)
+        m, n = 1000, 7
+        whole = law.sample(prc.make_generator(21, 3), (m, n))
+        for rows in (1, 37, 300, m):
+            rng = prc.make_generator(21, 3)
+            blocks = [law.sample(rng, (min(rows, m - done), n)) for done in range(0, m, rows)]
+            assert np.array_equal(np.concatenate(blocks), whole)
+
+    @pytest.mark.parametrize("text", LAWS)
+    def test_in_place_cumsum_is_the_cumsum(self, text):
+        law = prc.parse_law(text)
+        inc = law.sample(prc.make_generator(4), (300, 41))
+        expected = np.cumsum(inc, axis=1)
+        assert np.array_equal(np.cumsum(inc, axis=1, out=inc), expected)
+
+    def test_budget_prefix_matches_the_full_width_mask(self):
+        # the k-wise events scan columns k <= k_max; the full-width test ANDs
+        # the per-k budget mask instead
+        law = prc.TwoPointExtremal(0.5)
+        ps = np.cumsum(law.sample(prc.make_generator(6), (2000, 12)), axis=1)
+        steps = np.arange(1, 13, dtype=float)
+        for v in (0.5, 1.0, 1.9, 2.45, 10.0):
+            for variant, per_step in ((STOPPED, law.second_moment()),
+                                      (TRUNCATED, law.truncated_second_moment(0.8))):
+                spec = prc.EventSpec(1.5, v, variant, y=0.8 if variant is TRUNCATED else None)
+                full = np.any((ps >= spec.x) & (per_step * steps <= v**2), axis=1)
+                assert np.array_equal(prc.hits_from_sums(law, ps, spec), full)
+
+    @pytest.mark.parametrize("block_elems", [1, 3 * 7 + 1, 1000, 1 << 20])
+    def test_hits_do_not_depend_on_the_block_size(self, monkeypatch, block_elems):
+        # small chunks, so that blocks of one row stay cheap and the last
+        # block of a chunk is short
+        monkeypatch.setattr(mc, "CHUNK_SIZE", 1000)
+        law = prc.TwoPointExtremal(0.5)
+        n, trials, seed = 7, 2 * 1000 + 137, 31
+        specs = [prc.EventSpec(1.0, 2.0, STOPPED), prc.EventSpec(1.0, 3.0, MAX)]
+        reference = [e.hits for e in mc.estimate_events(law, specs, n, trials, seed)]
+        monkeypatch.setattr(mc, "BLOCK_ELEMS", block_elems)
+        assert [e.hits for e in mc.estimate_events(law, specs, n, trials, seed)] == reference
+
+    def test_memory_is_bounded_by_the_block(self):
+        # one 8192 x 4000 chunk would be 262 MB per float64 array; blocks of
+        # BLOCK_ELEMS steps keep the traced peak (numpy reports its arrays to
+        # tracemalloc) to a few block sizes
+        law = prc.TwoPointExtremal(1.0)
+        n = 4000
+        mc.clopper_pearson(1, 2, 0.95)  # its lazy scipy import is not the loop's memory
+        tracemalloc.start()
+        try:
+            nested = mc.nested_event_estimates(law, 200.0, math.sqrt(n * 1.0000001), n, 8192, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert nested.nesting_ok
+        assert peak <= 8 * mc.BLOCK_ELEMS * 8  # 16 MB; about 4 MB observed
+
+
+class TestPinnedHits:
+    """Hit counts for fixed seeds; changing how the paths are drawn or the
+    events decided must not move them."""
+
+    def test_nested_long_paths_over_two_chunks(self):
+        law = prc.TwoPointExtremal(1.0)
+        nested = mc.nested_event_estimates(law, 50.0, math.sqrt(500 * 1.0000001), 500,
+                                           mc.CHUNK_SIZE + 137, seed=7)
+        assert (nested.final.hits, nested.max_qc.hits, nested.stopped.hits) == (893, 1641, 1641)
+        assert nested.nesting_ok
+
+    def test_stopped_with_binding_budget(self):
+        law = prc.TwoPointExtremal(1.0)
+        v = math.sqrt(250 * 1.0000001)  # k_max = 250 of n = 500
+        specs = [prc.EventSpec(25.0, v, STOPPED), prc.EventSpec(25.0, v, FINAL)]
+        ests = mc.estimate_events(law, specs, 500, mc.CHUNK_SIZE + 137, seed=8)
+        assert [e.hits for e in ests] == [7615, 0]
+
+    def test_cexp_truncated(self):
+        law = prc.CenteredExponential()
+        specs = [prc.EventSpec(6.0, math.sqrt(10.0), TRUNCATED, y=3.0),  # k_max = 14 of 20
+                 prc.EventSpec(6.0, math.sqrt(20.0), TRUNCATED, y=3.0),
+                 prc.EventSpec(6.0, math.sqrt(40.0), MAX)]
+        ests = mc.estimate_events(law, specs, 20, mc.CHUNK_SIZE + 137, seed=20240105)
+        assert [e.hits for e in ests] == [6507, 10091, 10091]
+
+    def test_non_dyadic_boundary_instance(self):
+        # float cumsum puts (-0.45, -0.45, +1) at 0.09999999999999998 < x
+        law = prc.TwoPointBounded(0.45)
+        v = math.sqrt(3 * law.second_moment() * (1 + 1e-7))
+        nested = mc.nested_event_estimates(law, 0.1, v, 3, 200_000, seed=99)
+        assert (nested.final.hits, nested.max_qc.hits, nested.stopped.hits) == (
+            105002, 105002, 105002)
 
 
 class TestVerdicts:

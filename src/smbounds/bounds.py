@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Mapping
 
 __all__ = [
     "TailQuery",
@@ -175,6 +176,35 @@ def prohorov(x: float, v: float) -> LogProb:
     if x < 0 or v <= 0:
         raise ValueError(f"need x >= 0 and v > 0, got x={x}, v={v}")
     return LogProb.from_log(-0.5 * x * math.asinh(x / (2.0 * v * v)))
+
+
+#: The core family in chain order, as (name, query -> LogProb).  Each entry
+#: looks its bound up by name at call time, so a replaced module attribute
+#: is the one evaluated.
+CORE: tuple[tuple[str, Callable[[TailQuery], LogProb]], ...] = (
+    ("hoeffding", lambda q: hoeffding(q)),
+    ("freedman", lambda q: freedman(q.x, q.v)),
+    ("bennett", lambda q: bennett(q.x, q.v)),
+    ("bernstein", lambda q: bernstein(q.x, q.v)),
+    ("prohorov", lambda q: prohorov(q.x, q.v)),
+)
+
+#: Edges (lower, upper) of the ordering chain: log lower <= log upper.
+ORDERING = (("hoeffding", "freedman"), ("freedman", "bennett"),
+            ("bennett", "bernstein"), ("hoeffding", "prohorov"))
+
+#: Round-off slack allowed on each ordering edge, in log space.
+ORDER_SLACK = 1e-10
+
+
+def core_bounds(q: TailQuery) -> list[tuple[str, LogProb]]:
+    """The core family evaluated at one query, in `CORE` order."""
+    return [(name, bound(q)) for name, bound in CORE]
+
+
+def ordering_ok(logs: Mapping[str, float]) -> bool:
+    """Whether log values keyed by core bound name satisfy every `ORDERING` edge."""
+    return all(logs[lo] <= logs[hi] + ORDER_SLACK for lo, hi in ORDERING)
 
 
 def azuma_denominator(x: float, n: int, b: float) -> tuple[float, str]:

@@ -190,10 +190,6 @@ def _json_text(doc: dict[str, Any]) -> str:
     return json.dumps(_json_safe(doc), indent=2) + "\n"
 
 
-def _row(**kwargs: Any) -> dict[str, Any]:
-    return kwargs
-
-
 # ---------------------------------------------------------------------------
 # bounds
 # ---------------------------------------------------------------------------
@@ -203,31 +199,26 @@ def _bound_rows(p: dict[str, Any]) -> list[dict[str, Any]]:
     x, v, n = p["x"], p["v"], p["n"]
     q = bnd.TailQuery(x, v, n)
     base = dict(x=x, v=v, n=n)
-    rows = [
-        _row(**base, bound_name="hoeffding", log_value=bnd.hoeffding(q).log_value),
-        _row(**base, bound_name="freedman", log_value=bnd.freedman(x, v).log_value),
-        _row(**base, bound_name="bennett", log_value=bnd.bennett(x, v).log_value),
-        _row(**base, bound_name="bernstein", log_value=bnd.bernstein(x, v).log_value),
-        _row(**base, bound_name="prohorov", log_value=bnd.prohorov(x, v).log_value),
-    ]
+    rows = [dict(base, bound_name=name, log_value=bound.log_value)
+            for name, bound in bnd.core_bounds(q)]
     if p["b"] is not None:
         b = p["b"]
         az = bnd.azuma_refined(x, n, b)
-        rows.append(_row(**base, b=b, bound_name="azuma_refined",
+        rows.append(dict(base, b=b, bound_name="azuma_refined",
                          log_value=az.bound.log_value, branch=az.branch))
         ho = bnd.hoeffding_bounded(x, n, b, supermartingale=p["supermartingale"])
-        rows.append(_row(**base, b=b, bound_name="hoeffding_bounded", log_value=ho.log_value))
+        rows.append(dict(base, b=b, bound_name="hoeffding_bounded", log_value=ho.log_value))
     if p["y"] is not None:
         y = p["y"]
         fn = bnd.fuk_nagaev(x, y, v, n, p["p_exceed"])
-        rows.append(_row(**base, y=y, bound_name="fuk_nagaev_h_term",
+        rows.append(dict(base, y=y, bound_name="fuk_nagaev_h_term",
                          log_value=fn.h_term.log_value))
-        rows.append(_row(**base, y=y, bound_name="fuk_nagaev", log_value=fn.total.log_value))
-        rows.append(_row(**base, y=y, bound_name="courbot",
+        rows.append(dict(base, y=y, bound_name="fuk_nagaev", log_value=fn.total.log_value))
+        rows.append(dict(base, y=y, bound_name="courbot",
                          log_value=bnd.courbot(x, y, v, p["sum_exceed"],
                                                p["p_qc_exceed"]).log_value))
         if x > 0:
-            rows.append(_row(**base, y=y, bound_name="haeusler",
+            rows.append(dict(base, y=y, bound_name="haeusler",
                              log_value=bnd.haeusler(x, y, v).log_value))
     for row in rows:
         row["value"] = math.exp(row["log_value"])
@@ -278,24 +269,13 @@ def cmd_compare(p: dict[str, Any]) -> int:
     rows = []
     failures = 0
     for q in grid:
-        named = [
-            ("hoeffding", bnd.hoeffding(q).log_value),
-            ("freedman", bnd.freedman(q.x, q.v).log_value),
-            ("bennett", bnd.bennett(q.x, q.v).log_value),
-            ("bernstein", bnd.bernstein(q.x, q.v).log_value),
-            ("prohorov", bnd.prohorov(q.x, q.v).log_value),
-        ]
-        logs = dict(named)
-        slack = suites.ORDER_SLACK
-        ok = (logs["hoeffding"] <= logs["freedman"] + slack
-              and logs["freedman"] <= logs["bennett"] + slack
-              and logs["bennett"] <= logs["bernstein"] + slack
-              and logs["hoeffding"] <= logs["prohorov"] + slack)
+        logs = {name: bound.log_value for name, bound in bnd.core_bounds(q)}
+        ok = bnd.ordering_ok(logs)
         if not ok:
             failures += 1
         verdict = "PASS" if ok else "FAIL"
-        for name, lv in named:
-            rows.append(_row(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=lv,
+        for name, lv in logs.items():
+            rows.append(dict(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=lv,
                              value=math.exp(lv), verdict=verdict))
     if p["format"] == "json":
         doc = {"command": "compare", "points": len(grid), "ordering_failures": failures,
@@ -347,11 +327,11 @@ def cmd_simulate(p: dict[str, Any]) -> int:
                     ci_low=est.ci_low, ci_high=est.ci_high, seed=p["seed"])
         if checks:
             for c in checks:
-                rows.append(_row(**base, bound_name=c["bound_name"],
+                rows.append(dict(base, bound_name=c["bound_name"],
                                  log_value=c["log_value"], value=c["value"],
                                  verdict=c["verdict"]))
         else:
-            rows.append(_row(**base))
+            rows.append(base)
         _emit(_csv_text(rows), p["out"])
     else:
         _emit(_json_text(doc), p["out"])

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bnd
-from .processes import IncrementLaw
+from .processes import IncrementLaw, budget_steps
 
 __all__ = [
     "StateSpaceError",
@@ -109,12 +109,6 @@ class BoundComparison:
 
 def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
-
-
-def _k_max(n: int, v: float, m2: float) -> int:
-    # inclusive budget k*m2 <= v^2, with an absolute epsilon so that budgets
-    # constructed as sqrt(k*m2)**2 land on the intended side
-    return min(n, math.floor(v * v / m2 + 1e-9))
 
 
 def _lattice_step(values: list[float]) -> Fraction | None:
@@ -220,7 +214,7 @@ def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
     """Brute force over |atoms|^n paths; the independent route for the DP."""
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration is capped at n <= {ENUM_MAX_N}, got {n}")
-    k_max = _k_max(n, v, law.m2)
+    k_max = budget_steps(law.m2, n, v)
     qc_ok_final = k_max >= n
     p_stopped = p_max = p_final = 0.0
     for path in itertools.product(law.atoms, repeat=n):
@@ -259,7 +253,7 @@ def exact_event_probability(
     if method not in ("auto", "dp"):
         raise ValueError(f"unknown method {method!r}")
 
-    k_max = _k_max(n, v, law.m2)
+    k_max = budget_steps(law.m2, n, v)
     absorbed_cum, _, _ = first_passage_dp(law, n, x)
     p_stopped = absorbed_cum[k_max] if k_max >= 1 else 0.0
     if k_max >= n:
@@ -286,13 +280,6 @@ def exact_vs_bound(law: LatticeLaw, n: int, x: float, v: float) -> BoundComparis
     if law.mean > 1e-12:
         raise ValueError(f"mean {law.mean} > 0 violates the hypotheses")
     result = exact_event_probability(law, n, x, v)
-    q = bnd.TailQuery(x, v, n)
-    values = {
-        "hoeffding": bnd.hoeffding(q).value,
-        "freedman": bnd.freedman(x, v).value,
-        "bennett": bnd.bennett(x, v).value,
-        "bernstein": bnd.bernstein(x, v).value,
-        "prohorov": bnd.prohorov(x, v).value,
-    }
+    values = {name: bound.value for name, bound in bnd.core_bounds(bnd.TailQuery(x, v, n))}
     ok = {name: result.p_stopped <= val + COMPARISON_SLACK for name, val in values.items()}
     return BoundComparison(result, values, ok)

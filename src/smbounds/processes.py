@@ -32,6 +32,7 @@ __all__ = [
     "event_hit",
     "event_hits",
     "hits_from_sums",
+    "budget_steps",
 ]
 
 _U64 = (1 << 64) - 1
@@ -278,23 +279,34 @@ def simulate_path(law: IncrementLaw, n: int, seed: int, y: Optional[float] = Non
     )
 
 
+def budget_steps(per_step: float, n: int, v: float) -> int:
+    """The leading steps k <= n with k * per_step <= v^2, counted as
+    floor(v^2 / per_step + 1e-9): the epsilon lets a budget written as
+    v = sqrt(k * per_step) count k steps when v * v rounds below k * per_step."""
+    return min(n, math.floor(v * v / per_step + 1e-9))
+
+
 def event_hit(path: PathRecord, spec: EventSpec) -> bool:
     """Exact indicator of the event along the stored trajectory.
 
-    The k-wise variants require both conditions at the same k; all
-    comparisons are inclusive.
+    The k-wise variants require both conditions at the same k; the budget
+    condition holds on the leading `budget_steps` steps, and the threshold
+    comparison is inclusive.
     """
-    ps = path.partial_sums
-    if spec.variant is EventVariant.STOPPED_ANY_K:
-        return bool(np.any((ps >= spec.x) & (path.qc <= spec.v**2)))
-    if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
-        return bool(path.qc[-1] <= spec.v**2 and np.any(ps >= spec.x))
-    if spec.variant is EventVariant.FINAL_ONLY:
-        return bool(path.qc[-1] <= spec.v**2 and ps[-1] >= spec.x)
+    ps, n, variance = path.partial_sums, len(path), path.qc
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
         if path.trunc_var is None:
             raise ValueError("path carries no truncated variance; simulate with y set")
-        return bool(np.any((ps >= spec.x) & (path.trunc_var <= spec.v**2)))
+        variance = path.trunc_var
+    k_max = budget_steps(variance[0], n, spec.v)
+    if spec.variant in (EventVariant.STOPPED_ANY_K, EventVariant.TRUNCATED_ANY_K):
+        return bool(np.any(ps[:k_max] >= spec.x))
+    if k_max < n:
+        return False
+    if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
+        return bool(np.any(ps >= spec.x))
+    if spec.variant is EventVariant.FINAL_ONLY:
+        return bool(ps[-1] >= spec.x)
     raise AssertionError(f"unhandled variant {spec.variant}")
 
 
@@ -304,12 +316,6 @@ def event_hits(law: IncrementLaw, increments: np.ndarray, spec: EventSpec) -> np
     if increments.ndim != 2:
         raise ValueError(f"expected a (paths, n) matrix, got shape {increments.shape}")
     return hits_from_sums(law, np.cumsum(increments, axis=1), spec)
-
-
-def _budget_steps(per_step: float, n: int, v2: float) -> int:
-    """Number of steps k in [1, n] with per_step * k <= v2.  The budget grows
-    with k, so these steps are the leading ones."""
-    return int(np.count_nonzero(per_step * np.arange(1, n + 1, dtype=float) <= v2))
 
 
 def hits_from_sums(law: IncrementLaw, ps: np.ndarray, spec: EventSpec) -> np.ndarray:
@@ -322,21 +328,18 @@ def hits_from_sums(law: IncrementLaw, ps: np.ndarray, spec: EventSpec) -> np.nda
     if ps.ndim != 2:
         raise ValueError(f"expected a (paths, n) matrix, got shape {ps.shape}")
     n = ps.shape[1]
-    v2 = spec.v**2
-    if spec.variant is EventVariant.STOPPED_ANY_K:
-        k_max = _budget_steps(law.second_moment(), n, v2)
+    if spec.variant is EventVariant.TRUNCATED_ANY_K:
+        k_max = budget_steps(law.truncated_second_moment(spec.y), n, spec.v)
         return np.any(ps[:, :k_max] >= spec.x, axis=1)
+    k_max = budget_steps(law.second_moment(), n, spec.v)
+    if spec.variant is EventVariant.STOPPED_ANY_K:
+        return np.any(ps[:, :k_max] >= spec.x, axis=1)
+    if k_max < n:  # the max and final events need the whole horizon in budget
+        return np.zeros(ps.shape[0], dtype=bool)
     if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
-        if law.second_moment() * n > v2:
-            return np.zeros(ps.shape[0], dtype=bool)
         return np.any(ps >= spec.x, axis=1)
     if spec.variant is EventVariant.FINAL_ONLY:
-        if law.second_moment() * n > v2:
-            return np.zeros(ps.shape[0], dtype=bool)
         return ps[:, -1] >= spec.x
-    if spec.variant is EventVariant.TRUNCATED_ANY_K:
-        k_max = _budget_steps(law.truncated_second_moment(spec.y), n, v2)
-        return np.any(ps[:, :k_max] >= spec.x, axis=1)
     raise AssertionError(f"unhandled variant {spec.variant}")
 
 

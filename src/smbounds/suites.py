@@ -64,7 +64,6 @@ class SuiteReport:
 LAMBDA_GRID = (0.1, 0.5, 1.0, 2.0, 5.0)
 FD_STEP = 1e-4
 FD_TOL = 1e-6
-ORDER_SLACK = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -155,14 +154,9 @@ def suite_chain() -> SuiteReport:
     clamp_ok = True
     for q in chain_grid():
         count += 1
-        lh = bnd.hoeffding(q).log_value
-        lf = bnd.freedman(q.x, q.v).log_value
-        lb1 = bnd.bennett(q.x, q.v).log_value
-        lb2 = bnd.bernstein(q.x, q.v).log_value
-        lpro = bnd.prohorov(q.x, q.v).log_value
-        clamp_ok = clamp_ok and max(lh, lf, lb1, lb2, lpro) <= 0.0
-        if not (lh <= lf + ORDER_SLACK and lf <= lb1 + ORDER_SLACK
-                and lb1 <= lb2 + ORDER_SLACK and lh <= lpro + ORDER_SLACK):
+        logs = {name: bound.log_value for name, bound in bnd.core_bounds(q)}
+        clamp_ok = clamp_ok and max(logs.values()) <= 0.0
+        if not bnd.ordering_ok(logs):
             violations += 1
             if not first:
                 first = f"x={q.x} v={q.v} n={q.n}"
@@ -176,7 +170,7 @@ def suite_chain() -> SuiteReport:
             prev = -math.inf
             for n in bnd.GRID_N:
                 cur = bnd.hoeffding(bnd.TailQuery(x, v, n)).log_value
-                if cur < prev - ORDER_SLACK:
+                if cur < prev - bnd.ORDER_SLACK:
                     mono_ok = False
                 prev = cur
     rep.add("bound nondecreasing in the horizon n", mono_ok)
@@ -316,16 +310,9 @@ def suite_oracle() -> SuiteReport:
         _, _, defect = orc.first_passage_dp(lat, n, x)
         mass_ok = mass_ok and defect <= 1e-12
 
-        if scale > 1.0 and law.support_max <= 1.0:
-            mean = law.mean()
-            b_eff = -min(val for val, _ in law.atoms())
-            supermart = mean < -1e-15
-            if not supermart or b_eff <= 1.0:
-                az = bnd.azuma_refined(x, n, b_eff).bound.value
-                ho = bnd.hoeffding_bounded(x, n, b_eff, supermartingale=supermart).value
-                slack = orc.COMPARISON_SLACK
-                if res.p_max > az + slack or res.p_max > ho + slack:
-                    cor2_ok = False
+        if scale > 1.0 and any(res.p_max > bound.value + orc.COMPARISON_SLACK
+                               for _, bound in _range_bounds(law, x, n)):
+            cor2_ok = False
     rep.add(f"exact stopped probability below every bound ({instances} instances)",
             not bound_violations,
             f"{len(bound_violations)} violations"
@@ -378,6 +365,21 @@ def mc_corpus() -> list[McInstance]:
     ]
 
 
+def _range_bounds(law: IncrementLaw, x: float, n: int) -> list[tuple[str, bnd.LogProb]]:
+    """The bounded-range pair for the running maximum of a finite-support law
+    on [-b_eff, 1], or [] when the law fails the range hypotheses (b_eff > 0,
+    and b_eff <= 1 for a strict supermartingale)."""
+    atoms = law.atoms()
+    if atoms is None or law.support_max > 1.0:
+        return []
+    b_eff = -min(val for val, _ in atoms)
+    supermart = law.mean() < -1e-15
+    if b_eff <= 0 or (supermart and b_eff > 1.0):
+        return []
+    return [("azuma_refined", bnd.azuma_refined(x, n, b_eff).bound),
+            ("hoeffding_bounded", bnd.hoeffding_bounded(x, n, b_eff, supermartingale=supermart))]
+
+
 def applicable_checks(law: IncrementLaw, spec: EventSpec, n: int) -> list[tuple[str, bnd.LogProb]]:
     """The bounds whose hypotheses the (law, event) pair satisfies.
 
@@ -394,24 +396,7 @@ def applicable_checks(law: IncrementLaw, spec: EventSpec, n: int) -> list[tuple[
         return [("fuk_nagaev", fn.total)]
     if law.support_max > 1.0:
         return []
-    q = bnd.TailQuery(spec.x, spec.v, n)
-    checks = [
-        ("hoeffding", bnd.hoeffding(q)),
-        ("freedman", bnd.freedman(spec.x, spec.v)),
-        ("bennett", bnd.bennett(spec.x, spec.v)),
-        ("bernstein", bnd.bernstein(spec.x, spec.v)),
-        ("prohorov", bnd.prohorov(spec.x, spec.v)),
-    ]
-    atoms = law.atoms()
-    if atoms is not None:
-        mean = law.mean()
-        b_eff = -min(v for v, _ in atoms)
-        supermart = mean < -1e-15
-        if b_eff > 0 and (not supermart or b_eff <= 1.0):
-            checks.append(("azuma_refined", bnd.azuma_refined(spec.x, n, b_eff).bound))
-            checks.append(("hoeffding_bounded",
-                           bnd.hoeffding_bounded(spec.x, n, b_eff, supermartingale=supermart)))
-    return checks
+    return bnd.core_bounds(bnd.TailQuery(spec.x, spec.v, n)) + _range_bounds(law, spec.x, n)
 
 
 def suite_mc(trials: int = 10**6, gamma: float = 0.999) -> SuiteReport:
@@ -440,9 +425,11 @@ def suite_mc(trials: int = 10**6, gamma: float = 0.999) -> SuiteReport:
         nested = mc.nested_event_estimates(inst.law, inst.x, inst.v, inst.n, trials,
                                            inst.seed, gamma)
         rep.add(f"{label} per-path event nesting", nested.nesting_ok)
-        spec = nested.stopped.spec
-        for name, bound in applicable_checks(inst.law, spec, inst.n):
-            target = nested.max_qc if name in ("azuma_refined", "hoeffding_bounded") else nested.stopped
+        # the core family bounds the stopped event, the range pair the running max
+        q = bnd.TailQuery(inst.x, inst.v, inst.n)
+        checks = ([(nested.stopped, c) for c in bnd.core_bounds(q)]
+                  + [(nested.max_qc, c) for c in _range_bounds(inst.law, inst.x, inst.n)])
+        for target, (name, bound) in checks:
             check = mc.verify_bound(target, bound)
             rep.add(f"{label} vs {name}", check.verdict == "PASS",
                     f"p_hat={target.p_hat:.3e} ci_low={target.ci_low:.3e} bound={bound.value:.3e}")

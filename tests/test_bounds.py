@@ -270,3 +270,36 @@ def test_default_grid_covers_boundary_points():
     assert any(q.x == q.n for q in grid)
     assert any(q.x == 0.0 for q in grid)
     assert {q.n for q in grid} == set(bnd.GRID_N)
+
+
+class TestRegistry:
+    Q = bnd.TailQuery(1.0, 1.0, 2)
+
+    def test_core_family_in_chain_order(self):
+        names = [name for name, _ in bnd.core_bounds(self.Q)]
+        assert names == ["hoeffding", "freedman", "bennett", "bernstein", "prohorov"]
+        assert {n for edge in bnd.ORDERING for n in edge} == set(names)
+
+    def test_core_values_are_the_named_bounds(self):
+        logs = dict(bnd.core_bounds(self.Q))
+        assert logs["hoeffding"] == bnd.hoeffding(self.Q)
+        for name in ("freedman", "bennett", "bernstein", "prohorov"):
+            assert logs[name] == getattr(bnd, name)(1.0, 1.0)
+
+    def test_registry_resolves_bounds_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(bnd, "bennett", lambda x, v: bnd.LogProb(-7.0))
+        assert dict(bnd.core_bounds(self.Q))["bennett"].log_value == -7.0
+
+    def test_ordering_ok(self):
+        logs = {name: b.log_value for name, b in bnd.core_bounds(self.Q)}
+        assert bnd.ordering_ok(logs)
+        for lower, upper in bnd.ORDERING:
+            broken = dict(logs, **{lower: logs[upper] + 2 * bnd.ORDER_SLACK})
+            assert not bnd.ordering_ok(broken)
+        # within the slack is not a violation
+        assert bnd.ordering_ok(dict(logs, hoeffding=logs["freedman"] + bnd.ORDER_SLACK / 2))
+
+    def test_all_lists_bounds_and_types_only(self):
+        # bench/tracing.py wraps every function in __all__ as a bound call
+        for name in ("CORE", "ORDERING", "ORDER_SLACK", "core_bounds", "ordering_ok"):
+            assert name not in bnd.__all__

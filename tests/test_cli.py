@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +109,22 @@ class TestCompareCommand:
         h = rows[0].split(",")
         assert h[5] == "hoeffding"
         assert float(h[7]) == pytest.approx(2 ** (-2 / 3), rel=1e-12)
+
+    def test_broken_chain_exits_1(self, tmp_path, capsys, monkeypatch):
+        # a bennett bound below freedman's breaks the chain at every grid
+        # point; compare and the chain suite read it through the registry
+        from smbounds import bounds as bnd
+
+        monkeypatch.setattr(bnd, "bennett", lambda x, v: bnd.LogProb(-1e3))
+        out_file = tmp_path / "cmp.csv"
+        code, _, err = run(["compare", "--out", str(out_file)], capsys)
+        assert code == 1
+        assert "ordering failed" in err
+        verdicts = {line.split(",")[12] for line in out_file.read_text().splitlines()[1:]}
+        assert verdicts == {"FAIL"}
+        code, out, _ = run(["verify", "--suite", "chain"], capsys)
+        assert code == 1
+        assert "[chain] FAIL ordering chain" in out
 
     def test_bad_grid_file(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
@@ -229,3 +249,19 @@ class TestConfigReplay:
         cfg.write_text("# a comment\nx = 1\nv = 1\nn = 2\nbogus = 3\n")
         code, _, err = run(["bounds", "--config", str(cfg)], capsys)
         assert code == 2 and "bogus" in err
+
+
+def test_pure_math_commands_do_not_import_scipy(tmp_path):
+    # scipy is imported only by the Monte Carlo interval; a fresh interpreter
+    # running bounds and compare must never load it
+    code = (
+        "import sys\n"
+        "from smbounds import cli\n"
+        "assert cli.main(['bounds', '--x', '1', '--v', '1', '--n', '2']) == 0\n"
+        f"assert cli.main(['compare', '--out', {str(tmp_path / 'cmp.csv')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

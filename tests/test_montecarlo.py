@@ -262,3 +262,24 @@ class TestVerdicts:
         est = mc.Estimate(RADEMACHER, spec, 2, 4, 1, 0.95, 0,
                           exact.p_stopped, 0.0, 1.0)
         assert mc.tightness_ratio(est, bound) == pytest.approx(1.0, rel=1e-12)
+
+
+class TestBudgetRule:
+    """Monte Carlo counts the steps within a variance budget by the oracle's
+    rule, so the two decide the same events at a budget written as a square
+    root."""
+
+    def test_square_root_budget_agrees_with_the_oracle(self):
+        # v * v = 0.7499999999999999 rounds below the three-step budget 3 * 0.25
+        law, n, x, v = prc.TwoPointExtremal(0.25), 3, 1.0, math.sqrt(0.75)
+        exact = orc.exact_event_probability(orc.LatticeLaw.from_increment_law(law), n, x, v)
+        # reached at step 1 (0.2), or down then up twice (0.8 * 0.2 * 0.2)
+        assert exact.p_stopped == pytest.approx(0.232, abs=1e-15)
+        assert exact.p_max == exact.p_stopped
+        # two or three up-steps in three
+        assert exact.p_final == pytest.approx(0.104, abs=1e-15)
+        nested = mc.nested_event_estimates(law, x, v, n, 1 << 17, seed=5, gamma=1 - 1e-6)
+        assert nested.nesting_ok
+        for est, p in ((nested.stopped, exact.p_stopped), (nested.max_qc, exact.p_max),
+                       (nested.final, exact.p_final)):
+            assert est.ci_low <= p <= est.ci_high

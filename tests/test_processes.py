@@ -185,6 +185,22 @@ class TestEventHit:
                 assert (not final) or max_qc
                 assert (not max_qc) or stopped
 
+    def test_square_root_budget_counts_its_steps(self):
+        # v = sqrt(3 * 0.25) squares to 0.7499999999999999, just below the
+        # three-step budget; the path first reaches x = 1 at its third step
+        v = math.sqrt(0.75)
+        assert v * v < 3 * 0.25
+        assert prc.budget_steps(0.25, 3, v) == 3
+        assert prc.budget_steps(0.25, 2, v) == 2  # capped at the horizon
+        assert prc.budget_steps(0.25, 3, math.sqrt(0.75 * (1 - 1e-6))) == 2
+        path = _manual_path([-0.25, 1.0, 1.0], m2=0.25)
+        law = prc.TwoPointExtremal(0.25)
+        for variant in (prc.EventVariant.STOPPED_ANY_K, prc.EventVariant.MAX_WITH_FINAL_QC,
+                        prc.EventVariant.FINAL_ONLY):
+            spec = prc.EventSpec(1.0, v, variant)
+            assert prc.event_hit(path, spec)
+            assert prc.hits_from_sums(law, path.partial_sums[None, :], spec).tolist() == [True]
+
     def test_truncated_requires_trunc_var(self):
         path = _manual_path([1.0], m2=1.0)
         spec = prc.EventSpec(0.5, 1.0, prc.EventVariant.TRUNCATED_ANY_K, y=2.0)

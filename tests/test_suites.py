@@ -1,0 +1,48 @@
+"""Verification-suite plumbing: which bounds apply to a (law, event) pair."""
+
+import math
+
+from smbounds import suites
+from smbounds.processes import (
+    CenteredExponential,
+    DriftedTwoPoint,
+    EventSpec,
+    EventVariant,
+    TwoPointBounded,
+)
+
+CORE = ["hoeffding", "freedman", "bennett", "bernstein", "prohorov"]
+RANGE = ["azuma_refined", "hoeffding_bounded"]
+
+
+def names(law, x=2.0, v=3.0, n=10, variant=EventVariant.STOPPED_ANY_K, y=None):
+    spec = EventSpec(x, v, variant, y=y)
+    return [name for name, _ in suites.applicable_checks(law, spec, n)]
+
+
+def test_martingale_gets_the_range_pair_at_any_b():
+    assert names(TwoPointBounded(0.5)) == CORE + RANGE
+    assert names(TwoPointBounded(1.5)) == CORE + RANGE
+
+
+def test_supermartingale_range_pair_needs_b_at_most_1():
+    assert names(DriftedTwoPoint(0.5, 0.25)) == CORE + RANGE  # b_eff = 0.75
+    assert names(DriftedTwoPoint(1.0, 0.5)) == CORE  # b_eff = 1.5
+
+
+def test_unbounded_law():
+    assert names(CenteredExponential()) == []
+    assert names(CenteredExponential(), variant=EventVariant.TRUNCATED_ANY_K,
+                 y=3.0) == ["fuk_nagaev"]
+
+
+def test_negative_threshold_claims_nothing():
+    assert names(TwoPointBounded(0.5), x=-1.0) == []
+
+
+def test_range_pair_values():
+    law = TwoPointBounded(0.5)
+    spec = EventSpec(2.0, 3.0, EventVariant.MAX_WITH_FINAL_QC)
+    checks = dict(suites.applicable_checks(law, spec, 10))
+    # U_10(2, 0.5) = min(22.5, 4 (5 + 2/3)) = 22.5 on the range branch
+    assert math.isclose(checks["azuma_refined"].log_value, -8.0 / 22.5, rel_tol=1e-15)

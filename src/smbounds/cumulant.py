@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .bounds import TailQuery
 from .processes import CenteredExponential
 
@@ -175,32 +173,13 @@ def minimize_tilt(
     return lam, val
 
 
-#: Node count for the quadrature fallback of check_tilted_second_moment.
-QUADRATURE_NODES = 10**6
-
-
-def _tilted_second_moment_cexp(lam: float) -> float:
-    """E[xi^2 e^{lam*xi}] for xi = Z - 1, Z ~ Exp(1), by composite Simpson
-    quadrature over z; infinite for lam >= 1."""
-    if lam >= 1.0:
-        return math.inf
-    z_max = 80.0 / (1.0 - lam)
-    z = np.linspace(0.0, z_max, QUADRATURE_NODES + 1)
-    g = (z - 1.0) ** 2 * np.exp(-(1.0 - lam) * z - lam)
-    h = z_max / QUADRATURE_NODES
-    weights = np.ones_like(z)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    return float(h / 3.0 * np.dot(weights, g))
-
-
 def check_tilted_second_moment(law, lambdas: Sequence[float]) -> bool:
     """True iff E[xi^2 e^{lam*xi}] <= e^{lam} E[xi^2] (with 1e-12 relative
     slack) for every lam in the grid.
 
     Accepts any law exposing atoms (a method or a tuple of (value, prob)
-    pairs), plus the centered exponential; the expectation is exact for finite
-    support and computed by QUADRATURE_NODES-point quadrature otherwise.
+    pairs), plus the centered exponential; the expectation is exact from the
+    atoms, and the exponential's closed form otherwise.
     """
     lams = list(lambdas)
     if not lams:
@@ -219,7 +198,7 @@ def check_tilted_second_moment(law, lambdas: Sequence[float]) -> bool:
         if atoms is not None:
             lhs = math.fsum(p * v * v * math.exp(lam * v) for v, p in atoms)
         else:
-            lhs = _tilted_second_moment_cexp(lam)
+            lhs = law.tilted_second_moment(lam)
         if lhs > math.exp(lam) * m2 * (1.0 + 1e-12):
             return False
     return True

@@ -9,8 +9,12 @@ run with the same seed.
 Each chunk's substream is drawn in row blocks of about BLOCK_ELEMS steps.
 The generator fills rows in order, so the blocks concatenate to the chunk
 drawn at once, and hit counts do not depend on the block size.  Each block's
-partial sums are taken once, in place, and every event is tested on them, so
-memory is O(block x n) for any n and number of trials.
+running statistic is taken once and every event is tested on it, so memory is
+O(block x n) for any n and number of trials.  On a two-point law {a > b} the
+statistic is the int32 count of a-steps, from the same uniforms the law's
+`sample` maps to atoms, compared with the exact thresholds j*_k of
+`processes.count_thresholds` (the oracle's states and thresholds), so no float
+sum decides a path that lands on x; other laws sum float increments in place.
 """
 
 from __future__ import annotations
@@ -21,7 +25,15 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import LogProb
-from .processes import EventSpec, EventVariant, IncrementLaw, hits_from_sums, make_generator
+from .processes import (
+    EventSpec,
+    EventVariant,
+    IncrementLaw,
+    event_levels,
+    hits_from_levels,
+    make_generator,
+    sample_statistic,
+)
 
 __all__ = [
     "CHUNK_SIZE",
@@ -106,6 +118,7 @@ def _count_hits(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    levels = [event_levels(law, spec, n) for spec in specs]
     counts = [0] * len(specs)
     nesting_ok = True
     rows = max(1, BLOCK_ELEMS // n)
@@ -113,9 +126,8 @@ def _count_hits(
         m = min(CHUNK_SIZE, trials - first)
         rng = make_generator(seed, index)
         for done in range(0, m, rows):
-            block = law.sample(rng, (min(rows, m - done), n))
-            ps = np.cumsum(block, axis=1, out=block)
-            flags = [hits_from_sums(law, ps, spec) for spec in specs]
+            stat = sample_statistic(law, rng, (min(rows, m - done), n))
+            flags = [hits_from_levels(law, stat, lv, spec) for lv, spec in zip(levels, specs)]
             for i, hit in enumerate(flags):
                 counts[i] += int(np.count_nonzero(hit))
             nesting_ok = nesting_ok and all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))

@@ -5,6 +5,13 @@ deterministic ramp k * m2, so the stopped event reduces to first passage of
 the partial sums above x within k_max = floor(v^2 / m2) steps.  The DP
 propagates the exact distribution of the partial sum, absorbing mass at first
 passage; a brute-force path enumeration is kept as an independent route.
+
+Every passage decision is exact in integers.  A law on two atoms a > b is
+tracked by the count j of a-steps: a dense mass vector over j takes one
+shift-add per step, and the sum reaches x exactly when j >= j*_k of
+`processes.count_thresholds`, the test Monte Carlo applies to its sampled
+paths.  Laws with three or more atoms keep sorted integer keys on their common
+dyadic lattice, and are refused when that lattice is too fine.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bnd
-from .processes import IncrementLaw, budget_steps
+from .processes import IncrementLaw, budget_steps, count_thresholds
 
 __all__ = [
     "StateSpaceError",
@@ -33,10 +40,8 @@ __all__ = [
 STATE_CAP = 10**6
 #: Enumeration walks |atoms|^n paths; refuse beyond this horizon.
 ENUM_MAX_N = 25
-#: Lattice denominators past this fall back to tolerance-merged float sums.
+#: Laws of three or more atoms whose lattice denominator passes this are refused.
 LATTICE_DENOM_CAP = 10**6
-#: Merge tolerance for float-summed states.
-MERGE_TOL = 1e-12
 
 
 class StateSpaceError(RuntimeError):
@@ -126,58 +131,83 @@ def _lattice_step(values: list[float]) -> Fraction | None:
     return Fraction(max(num_gcd, 1), denom)
 
 
+def _count_states(
+    law: LatticeLaw, n: int, x: float, absorb: bool
+) -> tuple[list[float], np.ndarray, np.ndarray, float]:
+    """`_propagate` for a law on two atoms a > b: the state after k steps is
+    the count j of a-steps, held as a dense mass vector over j = 0..n.  A step
+    is one shift-add, m'[j] = m[j] p_b + m[j-1] p_a, and the sum reaches x
+    exactly when j >= j*_k (`count_thresholds`), so with absorption the
+    surviving states are always a prefix j < live."""
+    (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
+    if n + 1 > STATE_CAP:
+        raise StateSpaceError(f"{n + 1} count states exceed the cap {STATE_CAP}")
+    thresholds = count_thresholds(a, b, x, n).tolist()
+    mass = np.zeros(n + 1)
+    mass[0] = 1.0
+    live = 1
+    absorbed_cum = [0.0]
+    for k in range(1, n + 1):
+        up = mass[:live] * pa
+        mass[:live] *= pb
+        mass[1:live + 1] += up
+        live = live + 1 if live else 0
+        if absorb:
+            cut = min(live, thresholds[k])
+            absorbed_cum.append(absorbed_cum[-1] + float(mass[cut:live].sum()))
+            mass[cut:live] = 0.0
+            live = cut
+    # j*a + (n - j)*b, correctly rounded from integer numerators
+    fa, fb = Fraction(a), Fraction(b)
+    den = math.lcm(fa.denominator, fb.denominator)
+    na, nb = fa.numerator * (den // fa.denominator), fb.numerator * (den // fb.denominator)
+    sums = np.array([(n * nb + j * (na - nb)) / den for j in range(live)])
+    return absorbed_cum, sums, mass[:live], math.fsum(mass[thresholds[n]:live])
+
+
 def _propagate(
     law: LatticeLaw, n: int, x: float, absorb: bool
 ) -> tuple[list[float], np.ndarray, np.ndarray, float]:
-    """Propagate the exact distribution of the partial sums for n steps.
+    """Propagate the exact distribution of the partial sums for n steps.  With
+    ``absorb``, mass whose sum reaches x leaves the distribution at that step.
 
-    States are sorted numpy keys with their masses.  On the dyadic lattice a
-    key is the exact integer index of the sum in units of the lattice step;
-    off the lattice it is the integer q with sum q * MERGE_TOL, advanced as
-    rint((q * MERGE_TOL + a) / MERGE_TOL) and held as an integer-valued
-    float64 (exact, since q is the rounding of a double).  With ``absorb``,
-    mass whose sum reaches x leaves the distribution at that step.
+    Two atoms go to `_count_states`; otherwise the states are sorted numpy
+    keys, the exact integer indices of the sums on the atoms' common dyadic
+    lattice, with their masses, and equal keys are merged after every step.
 
     Returns (absorbed probability by step k for k = 0..n, the surviving sums,
     their masses, and the surviving mass at or above x).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if len(law.atoms) == 2:
+        return _count_states(law, n, x, absorb)
     values = [v for v, _ in law.atoms]
-    probs = np.array([p for _, p in law.atoms])[:, None]
     step = _lattice_step(values)
-    if step is not None:
-        shifts = np.array([int(Fraction(v) / step) for v in values], dtype=np.int64)
-        reach = n * int(np.abs(shifts).max()) + 1
-        if reach >= 2**53:
-            raise StateSpaceError(
-                f"lattice indices up to {reach} exceed 2**53; the sums would not be exact"
-            )
-        # clamped to the reachable range, the threshold fits in int64 and
-        # every comparison against it is unchanged
-        threshold = max(-reach, min(reach, math.ceil(Fraction(x) / step)))
-        keys = np.zeros(1, dtype=np.int64)
-    else:
-        shifts = np.array(values)
-        cut = x - MERGE_TOL * max(1.0, abs(x))
-        keys = np.zeros(1)
-    shifts = shifts[:, None]
-
-    def reached(keys: np.ndarray) -> np.ndarray:
-        if step is not None:
-            return keys >= threshold
-        return keys * MERGE_TOL >= cut
-
+    if step is None:
+        raise StateSpaceError(
+            f"atoms {values} share no lattice with denominator <= {LATTICE_DENOM_CAP}, "
+            "so their sums have no exact integer states (only two-point laws are "
+            "tracked by step counts)"
+        )
+    shifts = np.array([int(Fraction(v) / step) for v in values], dtype=np.int64)[:, None]
+    reach = n * int(np.abs(shifts).max()) + 1
+    if reach >= 2**53:
+        raise StateSpaceError(
+            f"lattice indices up to {reach} exceed 2**53; the sums would not be exact"
+        )
+    # clamped to the reachable range, the threshold fits in int64 and every
+    # comparison against it is unchanged
+    threshold = max(-reach, min(reach, math.ceil(Fraction(x) / step)))
+    probs = np.array([p for _, p in law.atoms])[:, None]
+    keys = np.zeros(1, dtype=np.int64)
     mass = np.ones(1)
     absorbed_cum = [0.0]
     for _ in range(n):
-        if step is not None:
-            keys = (keys + shifts).ravel()
-        else:
-            keys = np.rint((keys * MERGE_TOL + shifts) / MERGE_TOL).ravel()
+        keys = (keys + shifts).ravel()
         mass = (mass * probs).ravel()
         if absorb:
-            hit = reached(keys)
+            hit = keys >= threshold
             absorbed_cum.append(absorbed_cum[-1] + float(mass[hit].sum()))
             keys, mass = keys[~hit], mass[~hit]
         keys, index = np.unique(keys, return_inverse=True)
@@ -186,8 +216,7 @@ def _propagate(
             raise StateSpaceError(
                 f"{len(keys)} reachable states exceed the cap {STATE_CAP}"
             )
-    sums = keys * float(step) if step is not None else keys * MERGE_TOL
-    return absorbed_cum, sums, mass, math.fsum(mass[reached(keys)])
+    return absorbed_cum, keys * float(step), mass, math.fsum(mass[keys >= threshold])
 
 
 def first_passage_dp(
@@ -216,21 +245,26 @@ def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
         raise ValueError(f"enumeration is capped at n <= {ENUM_MAX_N}, got {n}")
     k_max = budget_steps(law.m2, n, v)
     qc_ok_final = k_max >= n
+    # exact integer sums: the values and x times their common denominator
+    values = [x] + [val for val, _ in law.atoms]
+    scale = math.lcm(*(Fraction(val).denominator for val in values))
+    target = int(Fraction(x) * scale)
+    atoms = [(int(Fraction(val) * scale), p) for val, p in law.atoms]
     p_stopped = p_max = p_final = 0.0
-    for path in itertools.product(law.atoms, repeat=n):
+    for path in itertools.product(atoms, repeat=n):
         prob = 1.0
-        s = 0.0
+        s = 0
         passage = None
-        for k, (val, p) in enumerate(path, start=1):
+        for k, (step, p) in enumerate(path, start=1):
             prob *= p
-            s += val
-            if passage is None and s >= x:
+            s += step
+            if passage is None and s >= target:
                 passage = k
         if passage is not None and passage <= k_max:
             p_stopped += prob
         if qc_ok_final and passage is not None:
             p_max += prob
-        if qc_ok_final and s >= x:
+        if qc_ok_final and s >= target:
             p_final += prob
     return ExactResult(_clamp01(p_stopped), _clamp01(p_max), _clamp01(p_final), n, x, v)
 

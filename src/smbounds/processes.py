@@ -9,8 +9,10 @@ exactly decidable from the realized partial sums alone.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
@@ -33,6 +35,7 @@ __all__ = [
     "event_hits",
     "hits_from_sums",
     "budget_steps",
+    "count_thresholds",
 ]
 
 _U64 = (1 << 64) - 1
@@ -49,6 +52,7 @@ class _TwoPointBase:
     """Shared machinery for laws supported on two atoms."""
 
     def atoms(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        """The (value, probability) pairs, upper atom first."""
         raise NotImplementedError
 
     def mean(self) -> float:
@@ -172,6 +176,14 @@ class CenteredExponential:
     def support_max(self) -> float:
         return math.inf
 
+    def tilted_second_moment(self, lam: float) -> float:
+        """E[xi^2 e^{lam*xi}] = e^{-lam} (2/mu^3 - 2/mu^2 + 1/mu) at mu = 1 - lam,
+        the integral of (z - 1)^2 e^{-mu*z} over z >= 0; infinite for lam >= 1."""
+        if lam >= 1.0:
+            return math.inf
+        mu = 1.0 - lam
+        return math.exp(-lam) * (2.0 / mu**3 - 2.0 / mu**2 + 1.0 / mu)
+
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.standard_exponential(shape) - 1.0
 
@@ -286,61 +298,126 @@ def budget_steps(per_step: float, n: int, v: float) -> int:
     return min(n, math.floor(v * v / per_step + 1e-9))
 
 
+def count_thresholds(a: float, b: float, x: float, n: int) -> np.ndarray:
+    """j*_k = ceil((x - k*b) / (a - b)) for k = 0..n, clamped to [0, k + 1].
+
+    A path of k steps, j of them at a and k - j at b < a, has sum
+    j*a + (k - j)*b >= x exactly when j >= j*_k; j*_k = 0 means every such
+    path reaches x, and k + 1 that none does.  The thresholds are computed in
+    integers from the exact values of the doubles a, b and x, so no rounding
+    enters the comparison.
+    """
+    if not a > b:
+        raise ValueError(f"need a > b, got a={a}, b={b}")
+    width = Fraction(a) - Fraction(b)
+    u, w = Fraction(x) / width, Fraction(b) / width
+    q = math.lcm(u.denominator, w.denominator)
+    nu, nw = u.numerator * (q // u.denominator), w.numerator * (q // w.denominator)
+    # ceil((nu - k*nw) / q) as a floor division
+    return np.array([min(k + 1, max(0, -((k * nw - nu) // q))) for k in range(n + 1)],
+                    dtype=np.int64)
+
+
 def event_hit(path: PathRecord, spec: EventSpec) -> bool:
     """Exact indicator of the event along the stored trajectory.
 
-    The k-wise variants require both conditions at the same k; the budget
-    condition holds on the leading `budget_steps` steps, and the threshold
-    comparison is inclusive.
+    The partial sums are compared with x in exact rational arithmetic on the
+    stored increments, which on a two-point law decides every path as the
+    step-count test of `event_hits` and Monte Carlo does.  The k-wise variants
+    require both conditions at the same k; the budget condition holds on the
+    leading `budget_steps` steps, and the threshold comparison is inclusive.
     """
-    ps, n, variance = path.partial_sums, len(path), path.qc
+    n, variance = len(path), path.qc
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
         if path.trunc_var is None:
             raise ValueError("path carries no truncated variance; simulate with y set")
         variance = path.trunc_var
+    x = Fraction(spec.x)
+    reached = [s >= x for s in itertools.accumulate(map(Fraction, path.increments.tolist()))]
     k_max = budget_steps(variance[0], n, spec.v)
     if spec.variant in (EventVariant.STOPPED_ANY_K, EventVariant.TRUNCATED_ANY_K):
-        return bool(np.any(ps[:k_max] >= spec.x))
+        return any(reached[:k_max])
     if k_max < n:
         return False
     if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
-        return bool(np.any(ps >= spec.x))
+        return any(reached)
     if spec.variant is EventVariant.FINAL_ONLY:
-        return bool(ps[-1] >= spec.x)
+        return reached[-1]
     raise AssertionError(f"unhandled variant {spec.variant}")
 
 
-def event_hits(law: IncrementLaw, increments: np.ndarray, spec: EventSpec) -> np.ndarray:
-    """Vectorized event indicators for a (paths, n) increment matrix: the
-    partial sums along each row, then `hits_from_sums`."""
-    if increments.ndim != 2:
-        raise ValueError(f"expected a (paths, n) matrix, got shape {increments.shape}")
-    return hits_from_sums(law, np.cumsum(increments, axis=1), spec)
+def event_levels(law: IncrementLaw, spec: EventSpec, n: int) -> np.ndarray:
+    """The level the running statistic of a path must reach at steps k = 1..n.
+
+    On a two-point law the statistic is the count of upper-atom steps and the
+    level is j*_k of `count_thresholds`; otherwise the statistic is the float
+    partial sum and the level is x at every step (one entry, broadcast).
+    """
+    atoms = law.atoms()
+    if atoms is None:
+        return np.array([spec.x])
+    (a, _), (b, _) = atoms
+    return count_thresholds(a, b, spec.x, n)[1:].astype(np.int32)
 
 
-def hits_from_sums(law: IncrementLaw, ps: np.ndarray, spec: EventSpec) -> np.ndarray:
-    """Vectorized event indicators for a (paths, n) matrix of partial sums.
+def sample_statistic(law: IncrementLaw, rng: np.random.Generator, shape) -> np.ndarray:
+    """The running statistic of `shape` = (paths, n) freshly drawn paths that
+    `event_levels` applies to: on a two-point law the int32 count of
+    upper-atom steps, taken from the same uniforms `sample` maps to the atoms
+    (so the same paths); otherwise the float partial sums, summed in place."""
+    atoms = law.atoms()
+    if atoms is None:
+        block = law.sample(rng, shape)
+        return np.cumsum(block, axis=1, out=block)
+    return np.cumsum(rng.random(shape) < atoms[0][1], axis=1, dtype=np.int32)
+
+
+def hits_from_levels(law: IncrementLaw, stat: np.ndarray, levels: np.ndarray,
+                     spec: EventSpec) -> np.ndarray:
+    """Event indicators for a (paths, n) running statistic against its
+    per-step `event_levels`.
 
     The variance processes are deterministic for IID laws, so the per-k budget
     condition holds on the same leading steps k <= k_max of every path, and
     the k-wise variants scan only those columns.
     """
-    if ps.ndim != 2:
-        raise ValueError(f"expected a (paths, n) matrix, got shape {ps.shape}")
-    n = ps.shape[1]
+    n = stat.shape[1]
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
         k_max = budget_steps(law.truncated_second_moment(spec.y), n, spec.v)
-        return np.any(ps[:, :k_max] >= spec.x, axis=1)
+        return np.any(stat[:, :k_max] >= levels[:k_max], axis=1)
     k_max = budget_steps(law.second_moment(), n, spec.v)
     if spec.variant is EventVariant.STOPPED_ANY_K:
-        return np.any(ps[:, :k_max] >= spec.x, axis=1)
+        return np.any(stat[:, :k_max] >= levels[:k_max], axis=1)
     if k_max < n:  # the max and final events need the whole horizon in budget
-        return np.zeros(ps.shape[0], dtype=bool)
+        return np.zeros(stat.shape[0], dtype=bool)
     if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
-        return np.any(ps >= spec.x, axis=1)
+        return np.any(stat >= levels, axis=1)
     if spec.variant is EventVariant.FINAL_ONLY:
-        return ps[:, -1] >= spec.x
+        return stat[:, -1] >= levels[-1]
     raise AssertionError(f"unhandled variant {spec.variant}")
+
+
+def event_hits(law: IncrementLaw, increments: np.ndarray, spec: EventSpec) -> np.ndarray:
+    """Vectorized event indicators for a (paths, n) increment matrix, decided
+    as Monte Carlo decides them: by upper-step counts on a two-point law, by
+    float partial sums otherwise."""
+    if increments.ndim != 2:
+        raise ValueError(f"expected a (paths, n) matrix, got shape {increments.shape}")
+    atoms = law.atoms()
+    if atoms is None:
+        stat = np.cumsum(increments, axis=1)
+    else:
+        stat = np.cumsum(increments == atoms[0][0], axis=1, dtype=np.int32)
+    return hits_from_levels(law, stat, event_levels(law, spec, increments.shape[1]), spec)
+
+
+def hits_from_sums(law: IncrementLaw, ps: np.ndarray, spec: EventSpec) -> np.ndarray:
+    """Vectorized event indicators for a (paths, n) matrix of float partial
+    sums, compared with x: the test Monte Carlo applies to laws without atoms
+    (on two-point laws it compares step counts, see `event_levels`)."""
+    if ps.ndim != 2:
+        raise ValueError(f"expected a (paths, n) matrix, got shape {ps.shape}")
+    return hits_from_levels(law, ps, np.array([spec.x]), spec)
 
 
 def exceedance_tail(law: IncrementLaw, y: float, n: int) -> tuple[float, float]:

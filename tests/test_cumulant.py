@@ -168,13 +168,16 @@ class TestTiltedSecondMomentCondition:
     def test_centered_exponential_diverges_past_one(self):
         assert not cml.check_tilted_second_moment(CenteredExponential(), (1.5,))
 
-    def test_centered_exponential_quadrature_matches_closed_form(self):
-        # E[(Z-1)^2 e^{lam (Z-1)}] = e^{-lam} (2/a^3 - 2/a^2 + 1/a), a = 1 - lam
-        for lam in (0.0, 0.25, 0.5, 0.8):
-            a = 1.0 - lam
-            closed = math.exp(-lam) * (2.0 / a**3 - 2.0 / a**2 + 1.0 / a)
-            quad = cml._tilted_second_moment_cexp(lam)
-            assert quad == pytest.approx(closed, rel=1e-10)
+    def test_centered_exponential_matches_mpmath(self):
+        # E[(Z-1)^2 e^{lam (Z-1)}] for Z ~ Exp(1), integrated at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        law = CenteredExponential()
+        with mpmath.workdps(40):
+            for lam in (0.0, 0.25, 0.5, 0.8, 0.99):
+                ref = mpmath.quad(lambda z: (z - 1) ** 2 * mpmath.exp(lam * (z - 1) - z),
+                                  [0, 1, mpmath.inf])
+                assert law.tilted_second_moment(lam) == pytest.approx(float(ref), rel=1e-12)
+        assert law.tilted_second_moment(1.0) == math.inf
 
     def test_centered_exponential_fails_even_below_one(self):
         assert not cml.check_tilted_second_moment(CenteredExponential(), (0.5,))

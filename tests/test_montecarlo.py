@@ -1,7 +1,9 @@
 """Monte Carlo estimation: exact intervals, determinism, verdicts."""
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -211,12 +213,57 @@ class TestPinnedHits:
         assert [e.hits for e in ests] == [6507, 10091, 10091]
 
     def test_non_dyadic_boundary_instance(self):
-        # float cumsum puts (-0.45, -0.45, +1) at 0.09999999999999998 < x
+        # one up and two down steps sum to 1 + 2 * (-0.45) < 0.1 exactly, in
+        # every order, so only paths with two up steps reach x at n
         law = prc.TwoPointBounded(0.45)
         v = math.sqrt(3 * law.second_moment() * (1 + 1e-7))
         nested = mc.nested_event_estimates(law, 0.1, v, 3, 200_000, seed=99)
         assert (nested.final.hits, nested.max_qc.hits, nested.stopped.hits) == (
-            105002, 105002, 105002)
+            45866, 105002, 105002)
+
+
+class TestNonDyadicBoundary:
+    """bounded:0.45 at x = 0.1: one up and two down steps sum to
+    1 + 2 * (-0.45) < 0.1 exactly, while float sums of some orders round up
+    to 0.1.  The oracle, Monte Carlo and both event tests decide such paths
+    alike, by the exact sum."""
+
+    LAW = prc.TwoPointBounded(0.45)
+    X = 0.1
+
+    def _v(self, n):
+        return math.sqrt(n * self.LAW.second_moment() * (1 + 1e-7))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_intervals_contain_the_oracle(self, n):
+        v = self._v(n)
+        exact = orc.exact_event_probability(
+            orc.LatticeLaw.from_increment_law(self.LAW), n, self.X, v)
+        nested = mc.nested_event_estimates(self.LAW, self.X, v, n, 200_000, seed=99,
+                                           gamma=1 - 1e-6)
+        assert nested.nesting_ok
+        for est, p in ((nested.stopped, exact.p_stopped), (nested.max_qc, exact.p_max),
+                       (nested.final, exact.p_final)):
+            assert est.ci_low <= p <= est.ci_high
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_every_path_is_decided_by_its_exact_sum(self, n):
+        law, m, seed = self.LAW, 2048, 5
+        inc = law.sample(prc.make_generator(seed, 0), (m, n))  # the paths of chunk 0
+        reached = [[s >= Fraction(self.X) for s in itertools.accumulate(map(Fraction, row))]
+                   for row in inc.tolist()]
+        assert (np.cumsum(inc, axis=1) >= self.X).tolist() != reached  # float sums differ
+        steps = np.arange(1, n + 1, dtype=float)
+        for variant in (STOPPED, MAX, FINAL):  # the budget never binds
+            spec = prc.EventSpec(self.X, self._v(n), variant)
+            expected = [r[-1] if variant is FINAL else any(r) for r in reached]
+            flags = prc.event_hits(law, inc, spec)
+            assert flags.tolist() == expected
+            for row, flag in zip(inc, flags):
+                path = prc.PathRecord(row, np.cumsum(row), law.second_moment() * steps, None,
+                                      float(row.max()))
+                assert prc.event_hit(path, spec) == flag
+            assert mc.estimate_event(law, spec, n, m, seed).hits == sum(expected)
 
 
 class TestVerdicts:

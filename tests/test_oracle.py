@@ -107,36 +107,22 @@ class TestDpVsEnumeration:
 
 
 def _reference_dp(law, n, x):
-    """The state propagation as a plain dict loop over Python scalars: exact
-    lattice indices, or float sums rounded to multiples of MERGE_TOL."""
-    values = [v for v, _ in law.atoms]
-    step = orc._lattice_step(values)
-    tol = orc.MERGE_TOL
-    if step is not None:
-        shifts = [int(Fraction(v) / step) for v in values]
-        threshold = math.ceil(Fraction(x) / step)
-        advance = lambda key, a: key + a
-        reached = lambda key: key >= threshold
-        to_value = lambda key: float(key * step)
-    else:
-        shifts = values
-        advance = lambda key, a: round((key + a) / tol) * tol
-        reached = lambda key: key >= x - tol * max(1.0, abs(x))
-        to_value = lambda key: key
-    dist = {0: 1.0}
+    """The state propagation as a plain dict loop over exact rational sums."""
+    atoms = [(Fraction(v), p) for v, p in law.atoms]
+    target = Fraction(x)
+    dist = {Fraction(0): 1.0}
     absorbed_cum = [0.0]
     for _ in range(n):
         new_dist, hit = {}, 0.0
-        for key, mass in dist.items():
-            for a, (_, p) in zip(shifts, law.atoms):
-                nk = advance(key, a)
-                if reached(nk):
+        for s, mass in dist.items():
+            for a, p in atoms:
+                if s + a >= target:
                     hit += mass * p
                 else:
-                    new_dist[nk] = new_dist.get(nk, 0.0) + mass * p
+                    new_dist[s + a] = new_dist.get(s + a, 0.0) + mass * p
         absorbed_cum.append(absorbed_cum[-1] + hit)
         dist = new_dist
-    return absorbed_cum, {to_value(k): p for k, p in dist.items()}
+    return absorbed_cum, dist
 
 
 class TestDpInternals:
@@ -146,9 +132,9 @@ class TestDpInternals:
             assert defect <= 1e-12
 
     def test_states_match_the_reference_loop(self):
-        # the same state keys, hence the same surviving sums and absorption
-        # decisions; masses are summed in another order, so they may differ
-        # by a few ulps per step
+        # the same surviving states, with their exact sums correctly rounded,
+        # hence the same absorption decisions; masses are summed in another
+        # order, so they may differ by a few ulps per step
         rng = np.random.default_rng(13)
         laws = TestDpVsEnumeration.LAWS + [
             orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
@@ -158,9 +144,9 @@ class TestDpInternals:
                 x = float(rng.uniform(-1.0, 0.6 * n))
                 absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
                 ref_cum, ref_final = _reference_dp(law, n, x)
-                assert [s for s, _ in final] == sorted(ref_final)
+                assert [s for s, _ in final] == [float(s) for s in sorted(ref_final)]
                 assert np.allclose([p for _, p in final],
-                                   [ref_final[s] for s, _ in final], rtol=0, atol=1e-14)
+                                   [ref_final[s] for s in sorted(ref_final)], rtol=0, atol=1e-14)
                 assert np.allclose(absorbed_cum, ref_cum, rtol=0, atol=1e-14)
 
     def test_nesting_invariant(self):
@@ -183,12 +169,27 @@ class TestDpInternals:
             orc.first_passage_dp(RADEMACHER, 40, 1e9)
 
     def test_lattice_index_range_refusal(self):
-        # step 1/2 and an atom at 2**40 + 1/2 put index 2**41 + 1 on the
-        # lattice; 4096 steps of it would pass 2**53
-        law = orc.LatticeLaw(((2.0**40 + 0.5, 0.5), (-0.5, 0.5)))
-        orc.first_passage_dp(law, 4095, 1.0)
+        # step 1/2 and an atom at 2**50 + 1/2 put index 2**51 + 1 on the
+        # lattice of this three-atom law; 4 steps of it would pass 2**53
+        law = orc.LatticeLaw(((2.0**50 + 0.5, 0.25), (0.0, 0.25), (-0.5, 0.5)))
+        orc.first_passage_dp(law, 3, 1.0)
         with pytest.raises(orc.StateSpaceError):
-            orc.first_passage_dp(law, 4096, 1.0)
+            orc.first_passage_dp(law, 4, 1.0)
+
+    def test_off_lattice_three_atom_refusal(self):
+        # 0.45 is k / 2**54 as a double: no lattice within LATTICE_DENOM_CAP
+        law = orc.LatticeLaw(((1.0, 0.25), (0.0, 0.25), (-0.45, 0.5)))
+        with pytest.raises(orc.StateSpaceError, match="no exact integer states"):
+            orc.exact_event_probability(law, 4, 0.5, 2.0)
+        # the same values on two atoms are exact step counts
+        orc.exact_event_probability(orc.LatticeLaw(((1.0, 0.5), (-0.45, 0.5))), 4, 0.5, 2.0)
+
+    def test_count_state_cap_refusal(self, monkeypatch):
+        # the count states j = 0..n are refused before the first step
+        monkeypatch.setattr(orc, "STATE_CAP", 100)
+        orc.first_passage_dp(RADEMACHER, 99, 1.0)
+        with pytest.raises(orc.StateSpaceError):
+            orc.first_passage_dp(RADEMACHER, 100, 1.0)
 
 
 def _rademacher_tail(n: int, m: int) -> float:
@@ -222,13 +223,24 @@ class TestLargeHorizon:
         _, _, defect = orc.first_passage_dp(law, self.N, 0.3 * self.N)
         assert defect <= 1e-12
 
+    def test_mass_conservation_at_ten_thousand_steps(self):
+        n = 10**4
+        law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
+        absorbed_cum, _, defect = orc.first_passage_dp(law, n, 0.1 * n)
+        assert defect <= 1e-12
+        assert 0.0 < absorbed_cum[-1] < 1.0
 
-def test_float_branch_value_is_pinned():
-    # tolerance-merged float states decide this event; a change to the event
-    # arithmetic must change this value on purpose
+
+def test_non_dyadic_boundary_value_is_exact():
+    # 1 + 2 * (-0.45) is below 0.1 for the doubles 0.45 and 0.1, so one up
+    # and two down steps end below x: p_stopped = p + (1 - p) p for the up
+    # probability p, and p_final needs two up steps in three
     law = orc.LatticeLaw.from_increment_law(prc.parse_law("bounded:0.45"))
     res = orc.exact_event_probability(law, 3, 0.1, math.sqrt(3 * law.m2 * (1 + 1e-7)))
-    assert res.p_stopped == pytest.approx(0.6719832711468285, abs=1e-15)
+    assert res.p_stopped == pytest.approx(0.5243757431629014, abs=1e-15)
+    (_, p), _ = law.atoms
+    assert res.p_stopped == pytest.approx(p + (1 - p) * p, abs=1e-15)
+    assert res.p_final == pytest.approx(p * p * (3 - 2 * p), abs=1e-15)
 
 
 class TestExactVsBound:

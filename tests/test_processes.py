@@ -1,6 +1,7 @@
 """Increment-law zoo: moments, truncation, sampling, and event logic."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -234,6 +235,31 @@ class TestEventHit:
                     max_increment=float(inc[i].max()),
                 )
                 assert flags[i] == prc.event_hit(path, spec)
+
+
+class TestCountThresholds:
+    def test_matches_the_definition(self):
+        # j*_k is the fewest upper steps of k whose exact sum reaches x
+        rng = np.random.default_rng(17)
+        cases = [(1.0, -0.45, 0.1), (1.0, -1.0, 0.0), (0.5, 0.25, 1.0), (1.0, -0.5, -3.0),
+                 (-0.1, -0.3, -1.0)]
+        cases += [tuple(sorted(rng.uniform(-2.0, 2.0, 2), reverse=True)) + (rng.uniform(-3, 6),)
+                  for _ in range(40)]
+        n = 15
+        for a, b, x in cases:
+            thresholds = prc.count_thresholds(a, b, x, n).tolist()
+            fa, fb, fx = Fraction(a), Fraction(b), Fraction(x)
+            for k in range(n + 1):
+                want = next((j for j in range(k + 1) if j * fa + (k - j) * fb >= fx), k + 1)
+                assert thresholds[k] == want
+
+    def test_non_dyadic_boundary(self):
+        # 1 + 2 * (-0.45) < 0.1 for the doubles: one up step in three is short
+        assert prc.count_thresholds(1.0, -0.45, 0.1, 3).tolist() == [1, 1, 1, 2]
+
+    def test_rejects_unordered_atoms(self):
+        with pytest.raises(ValueError):
+            prc.count_thresholds(-0.45, 1.0, 0.1, 3)
 
 
 class TestGeneratorKeying:

@@ -38,6 +38,7 @@ from .processes import (
     EventVariant,
     IncrementLaw,
     PathRecord,
+    TwoPoint,
     TwoPointBounded,
     TwoPointExtremal,
     event_hit,

@@ -234,11 +234,6 @@ def first_passage_dp(
     return absorbed_cum, list(zip(sums.tolist(), mass.tolist())), defect
 
 
-def _free_final_tail(law: LatticeLaw, n: int, x: float) -> float:
-    """P(X_n >= x) with no absorption, by the same state propagation."""
-    return _propagate(law, n, x, absorb=False)[3]
-
-
 def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
     """Brute force over |atoms|^n paths; the independent route for the DP."""
     if n > ENUM_MAX_N:
@@ -270,13 +265,13 @@ def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
 
 
 def exact_event_probability(
-    law: LatticeLaw, n: int, x: float, v: float, method: str = "auto"
+    law: LatticeLaw, n: int, x: float, v: float, method: str = "dp"
 ) -> ExactResult:
     """Exact probabilities of the stopped, running-max, and final-time events
     at threshold x with variance budget v^2.
 
-    method "dp" (default for auto) propagates sums with absorption;
-    "enumerate" walks every path (n <= ENUM_MAX_N).
+    method "dp" (the default) propagates sums with absorption, and without
+    it for the final tail; "enumerate" walks every path (n <= ENUM_MAX_N).
     """
     if v <= 0:
         raise ValueError(f"v must be > 0, got {v}")
@@ -284,7 +279,7 @@ def exact_event_probability(
         raise ValueError("law has zero second moment; every budget is trivial")
     if method == "enumerate":
         return _enumerate(law, n, x, v)
-    if method not in ("auto", "dp"):
+    if method != "dp":
         raise ValueError(f"unknown method {method!r}")
 
     k_max = budget_steps(law.m2, n, v)
@@ -292,7 +287,7 @@ def exact_event_probability(
     p_stopped = absorbed_cum[k_max] if k_max >= 1 else 0.0
     if k_max >= n:
         p_max = absorbed_cum[n]
-        p_final = _free_final_tail(law, n, x)
+        p_final = _propagate(law, n, x, absorb=False)[3]
     else:
         p_max = p_final = 0.0
     return ExactResult(_clamp01(p_stopped), _clamp01(p_max), _clamp01(p_final), n, x, v)

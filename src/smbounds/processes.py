@@ -1,6 +1,11 @@
 """One-step increment laws with known conditional moments, path simulation,
 and the deviation events evaluated along simulated paths.
 
+Every finite law is a `TwoPoint`: the extremal law on {1, -b}, which attains
+the two-point MGF bound, shifted down by a drift delta in [0, b].
+`TwoPointExtremal`, `TwoPointBounded` and `DriftedTwoPoint` build it under
+their CLI labels; `CenteredExponential` is the one law unbounded above.
+
 All laws are IID per path, so the quadratic characteristic and the truncated
 variance are deterministic multiples of the step count; every event is then
 exactly decidable from the realized partial sums alone.
@@ -11,13 +16,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
 
 __all__ = [
+    "TwoPoint",
     "TwoPointExtremal",
     "TwoPointBounded",
     "DriftedTwoPoint",
@@ -33,7 +39,6 @@ __all__ = [
     "simulate_path",
     "event_hit",
     "event_hits",
-    "hits_from_sums",
     "budget_steps",
     "count_thresholds",
 ]
@@ -48,12 +53,21 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _TwoPointBase:
-    """Shared machinery for laws supported on two atoms."""
+@dataclass(frozen=True)
+class TwoPoint:
+    """Law on an upper atom `hi` with probability `p_hi` and a lower atom `lo`
+    with probability `p_lo`; `name` is its CLI label.  Build it with
+    `TwoPointExtremal`, `TwoPointBounded` or `DriftedTwoPoint`."""
+
+    hi: float
+    lo: float
+    p_hi: float
+    p_lo: float
+    name: str
 
     def atoms(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """The (value, probability) pairs, upper atom first."""
-        raise NotImplementedError
+        return ((self.hi, self.p_hi), (self.lo, self.p_lo))
 
     def mean(self) -> float:
         return sum(v * p for v, p in self.atoms())
@@ -77,71 +91,50 @@ class _TwoPointBase:
 
     @property
     def support_max(self) -> float:
-        return max(v for v, _ in self.atoms())
+        return self.hi
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        (v0, p0), (v1, _) = self.atoms()
-        return np.where(rng.random(shape) < p0, v0, v1)
+        return np.where(rng.random(shape) < self.p_hi, self.hi, self.lo)
+
+    def label(self) -> str:
+        return self.name
 
 
-@dataclass(frozen=True)
-class TwoPointExtremal(_TwoPointBase):
+def _param_text(value: float) -> str:
+    """A law parameter as label text: `:g` where it reads back as the same
+    double, the round-tripping repr otherwise."""
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
+def _require_positive(param: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{param} must be > 0, got {value}")
+
+
+def DriftedTwoPoint(b: float, delta: float) -> TwoPoint:
+    """The mean-zero law on {1, -b} with P(1) = b/(1+b), shifted down by delta
+    in [0, b]: mean -delta <= 0, support still bounded above by 1 (a strict
+    supermartingale increment for delta > 0)."""
+    _require_positive("b", b)
+    if not (math.isfinite(delta) and 0 <= delta <= b):
+        raise ValueError(f"delta must be in [0, b], got delta={delta}, b={b}")
+    return TwoPoint(1.0 - delta, -b - delta, b / (1.0 + b), 1.0 / (1.0 + b),
+                    f"drifted:{_param_text(b)},{_param_text(delta)}")
+
+
+def TwoPointExtremal(sigma2: float) -> TwoPoint:
     """Mean-zero law P(xi=1) = s2/(1+s2), P(xi=-s2) = 1/(1+s2); it attains the
     two-point MGF bound with equality, so E[xi^2] = s2 and support <= 1."""
-
-    sigma2: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be > 0, got {self.sigma2}")
-
-    def atoms(self):
-        s2 = self.sigma2
-        return ((1.0, s2 / (1.0 + s2)), (-s2, 1.0 / (1.0 + s2)))
-
-    def label(self) -> str:
-        return f"extremal:{self.sigma2:g}"
+    _require_positive("sigma2", sigma2)
+    return replace(DriftedTwoPoint(sigma2, 0.0), name=f"extremal:{_param_text(sigma2)}")
 
 
-@dataclass(frozen=True)
-class TwoPointBounded(_TwoPointBase):
+def TwoPointBounded(b: float) -> TwoPoint:
     """Mean-zero law P(xi=1) = b/(1+b), P(xi=-b) = 1/(1+b); support in [-b, 1]
-    with E[xi^2] = b."""
-
-    b: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"b must be > 0, got {self.b}")
-
-    def atoms(self):
-        b = self.b
-        return ((1.0, b / (1.0 + b)), (-b, 1.0 / (1.0 + b)))
-
-    def label(self) -> str:
-        return f"bounded:{self.b:g}"
-
-
-@dataclass(frozen=True)
-class DriftedTwoPoint(_TwoPointBase):
-    """TwoPointBounded(b) shifted down by delta in [0, b]: mean -delta <= 0,
-    support still bounded above by 1 (a strict supermartingale increment)."""
-
-    b: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.b) and self.b > 0):
-            raise ValueError(f"b must be > 0, got {self.b}")
-        if not (math.isfinite(self.delta) and 0 <= self.delta <= self.b):
-            raise ValueError(f"delta must be in [0, b], got delta={self.delta}, b={self.b}")
-
-    def atoms(self):
-        b, d = self.b, self.delta
-        return ((1.0 - d, b / (1.0 + b)), (-b - d, 1.0 / (1.0 + b)))
-
-    def label(self) -> str:
-        return f"drifted:{self.b:g},{self.delta:g}"
+    with E[xi^2] = b (the extremal law under the name of its range)."""
+    _require_positive("b", b)
+    return replace(DriftedTwoPoint(b, 0.0), name=f"bounded:{_param_text(b)}")
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,7 @@ class CenteredExponential:
         return "cexp"
 
 
-IncrementLaw = Union[TwoPointExtremal, TwoPointBounded, DriftedTwoPoint, CenteredExponential]
+IncrementLaw = Union[TwoPoint, CenteredExponential]
 
 
 def parse_law(text: str) -> IncrementLaw:
@@ -409,15 +402,6 @@ def event_hits(law: IncrementLaw, increments: np.ndarray, spec: EventSpec) -> np
     else:
         stat = np.cumsum(increments == atoms[0][0], axis=1, dtype=np.int32)
     return hits_from_levels(law, stat, event_levels(law, spec, increments.shape[1]), spec)
-
-
-def hits_from_sums(law: IncrementLaw, ps: np.ndarray, spec: EventSpec) -> np.ndarray:
-    """Vectorized event indicators for a (paths, n) matrix of float partial
-    sums, compared with x: the test Monte Carlo applies to laws without atoms
-    (on two-point laws it compares step counts, see `event_levels`)."""
-    if ps.ndim != 2:
-        raise ValueError(f"expected a (paths, n) matrix, got shape {ps.shape}")
-    return hits_from_levels(law, ps, np.array([spec.x]), spec)
 
 
 def exceedance_tail(law: IncrementLaw, y: float, n: int) -> tuple[float, float]:

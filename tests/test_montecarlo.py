@@ -155,7 +155,7 @@ class TestRowBlocks:
                                       (TRUNCATED, law.truncated_second_moment(0.8))):
                 spec = prc.EventSpec(1.5, v, variant, y=0.8 if variant is TRUNCATED else None)
                 full = np.any((ps >= spec.x) & (per_step * steps <= v**2), axis=1)
-                assert np.array_equal(prc.hits_from_sums(law, ps, spec), full)
+                assert np.array_equal(prc.hits_from_levels(law, ps, np.array([spec.x]), spec), full)
 
     @pytest.mark.parametrize("block_elems", [1, 3 * 7 + 1, 1000, 1 << 20])
     def test_hits_do_not_depend_on_the_block_size(self, monkeypatch, block_elems):

@@ -105,6 +105,13 @@ class TestDpVsEnumeration:
         with pytest.raises(ValueError):
             orc.exact_event_probability(RADEMACHER, 26, 1.0, 10.0, method="enumerate")
 
+    def test_dp_is_the_default_method(self):
+        args = (RADEMACHER, 6, 2.0, math.sqrt(4.0))
+        assert orc.exact_event_probability(*args) == orc.exact_event_probability(*args, method="dp")
+        for method in ("auto", "DP"):
+            with pytest.raises(ValueError, match="unknown method"):
+                orc.exact_event_probability(*args, method=method)
+
 
 def _reference_dp(law, n, x):
     """The state propagation as a plain dict loop over exact rational sums."""

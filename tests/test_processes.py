@@ -39,11 +39,16 @@ class TestLawConstruction:
         assert law.second_moment() == pytest.approx(0.51, rel=1e-14)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # each error names the parameter the caller passed
+        with pytest.raises(ValueError, match="^sigma2 must"):
             prc.TwoPointExtremal(0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^b must"):
             prc.TwoPointBounded(-1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^b must"):
+            prc.TwoPointBounded(math.inf)
+        with pytest.raises(ValueError, match="^b must"):
+            prc.DriftedTwoPoint(0.0, 0.0)
+        with pytest.raises(ValueError, match="^delta must"):
             prc.DriftedTwoPoint(0.5, 0.6)  # delta > b
 
     def test_parse_law_round_trip(self):
@@ -53,6 +58,34 @@ class TestLawConstruction:
             prc.parse_law("gaussian:1")
         with pytest.raises(ValueError):
             prc.parse_law("drifted:0.5")
+
+    def test_constructors_build_one_law_type(self):
+        for s in (0.25, 0.45, 1.0, 3.7):
+            laws = [prc.TwoPointExtremal(s), prc.TwoPointBounded(s), prc.DriftedTwoPoint(s, 0.0)]
+            assert all(type(law) is prc.TwoPoint for law in laws)
+            assert laws[0].atoms() == laws[1].atoms() == laws[2].atoms()
+            assert [law.label() for law in laws] == [f"extremal:{s:g}", f"bounded:{s:g}",
+                                                      f"drifted:{s:g},0"]
+            # hashable, so records that hold a law can key dicts: equal atoms,
+            # distinct labels, and a parsed label finds its own law
+            index = {law: i for i, law in enumerate(laws)}
+            assert len(index) == 3
+            assert [index[prc.parse_law(law.label())] for law in laws] == [0, 1, 2]
+
+    def test_labels_are_short_where_exact(self):
+        law = prc.TwoPointExtremal(0.1234567)
+        assert law.label() == "extremal:0.1234567"
+        assert prc.parse_law(law.label()) == law
+        assert prc.DriftedTwoPoint(0.5, 1 / 3).label() == "drifted:0.5,0.3333333333333333"
+        assert prc.DriftedTwoPoint(0.5, 0.1).label() == "drifted:0.5,0.1"
+
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+           st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=200)
+    def test_labels_round_trip_on_finite_positive_floats(self, b, fraction):
+        for law in (prc.TwoPointExtremal(b), prc.TwoPointBounded(b),
+                    prc.DriftedTwoPoint(b, b * fraction)):
+            assert prc.parse_law(law.label()) == law
 
 
 class TestMoments:
@@ -200,7 +233,8 @@ class TestEventHit:
                         prc.EventVariant.FINAL_ONLY):
             spec = prc.EventSpec(1.0, v, variant)
             assert prc.event_hit(path, spec)
-            assert prc.hits_from_sums(law, path.partial_sums[None, :], spec).tolist() == [True]
+            flags = prc.hits_from_levels(law, path.partial_sums[None, :], np.array([spec.x]), spec)
+            assert flags.tolist() == [True]
 
     def test_truncated_requires_trunc_var(self):
         path = _manual_path([1.0], m2=1.0)

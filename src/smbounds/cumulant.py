@@ -177,15 +177,13 @@ def check_tilted_second_moment(law, lambdas: Sequence[float]) -> bool:
     """True iff E[xi^2 e^{lam*xi}] <= e^{lam} E[xi^2] (with 1e-12 relative
     slack) for every lam in the grid.
 
-    Accepts any law exposing atoms (a method or a tuple of (value, prob)
-    pairs), plus the centered exponential; the expectation is exact from the
-    atoms, and the exponential's closed form otherwise.
+    The expectation is exact from the atoms of a two-point law, and from the
+    closed form for the centered exponential.
     """
     lams = list(lambdas)
     if not lams:
         raise ValueError("lambda grid must be non-empty")
-    atoms_attr = getattr(law, "atoms", None)
-    atoms = atoms_attr() if callable(atoms_attr) else atoms_attr
+    atoms = law.atoms()
     if atoms is not None:
         m2 = math.fsum(p * v * v for v, p in atoms)
     elif isinstance(law, CenteredExponential):

@@ -1,4 +1,4 @@
-"""Exact event probabilities for finite-support IID increments.
+"""Exact event probabilities for IID two-point increments.
 
 Since the increments are IID, the quadratic characteristic is the
 deterministic ramp k * m2, so the stopped event reduces to first passage of
@@ -10,8 +10,7 @@ Every passage decision is exact in integers.  A law on two atoms a > b is
 tracked by the count j of a-steps: a dense mass vector over j takes one
 shift-add per step, and the sum reaches x exactly when j >= j*_k of
 `processes.count_thresholds`, the test Monte Carlo applies to its sampled
-paths.  Laws with three or more atoms keep sorted integer keys on their common
-dyadic lattice, and are refused when that lattice is too fine.
+paths.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ __all__ = [
 
 #: Refuse (rather than extrapolate) beyond this many simultaneous DP states.
 STATE_CAP = 10**6
-#: Enumeration walks |atoms|^n paths; refuse beyond this horizon.
+#: Enumeration walks 2^n paths; refuse beyond this horizon.
 ENUM_MAX_N = 25
-#: Laws of three or more atoms whose lattice denominator passes this are refused.
-LATTICE_DENOM_CAP = 10**6
 
 
 class StateSpaceError(RuntimeError):
@@ -50,13 +47,16 @@ class StateSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeLaw:
-    """Finite-support law given by (value, probability) atoms."""
+    """Two-point law given by its two (value, probability) atoms, in any
+    order; values and probabilities must be finite."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
-        if not self.atoms:
-            raise ValueError("a law needs at least one atom")
+        if len(self.atoms) != 2:
+            raise ValueError(f"a law needs exactly two atoms, got {len(self.atoms)}")
+        if not all(math.isfinite(v) and math.isfinite(p) for v, p in self.atoms):
+            raise ValueError(f"atom values and probabilities must be finite, got {self.atoms}")
         values = [v for v, _ in self.atoms]
         if len(set(values)) != len(values):
             raise ValueError(f"atom values must be distinct, got {values}")
@@ -116,29 +116,23 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _lattice_step(values: list[float]) -> Fraction | None:
-    """Common lattice step of the atom values (exact from their binary
-    representation), or None when the denominator is impractically large."""
-    fracs = [Fraction(v) for v in values]
-    denom = 1
-    for f in fracs:
-        denom = denom * f.denominator // math.gcd(denom, f.denominator)
-        if denom > LATTICE_DENOM_CAP:
-            return None
-    num_gcd = 0
-    for f in fracs:
-        num_gcd = math.gcd(num_gcd, abs(f.numerator * (denom // f.denominator)))
-    return Fraction(max(num_gcd, 1), denom)
-
-
-def _count_states(
+def _propagate(
     law: LatticeLaw, n: int, x: float, absorb: bool
 ) -> tuple[list[float], np.ndarray, np.ndarray, float]:
-    """`_propagate` for a law on two atoms a > b: the state after k steps is
-    the count j of a-steps, held as a dense mass vector over j = 0..n.  A step
-    is one shift-add, m'[j] = m[j] p_b + m[j-1] p_a, and the sum reaches x
-    exactly when j >= j*_k (`count_thresholds`), so with absorption the
-    surviving states are always a prefix j < live."""
+    """Propagate the exact distribution of the partial sums for n steps.  With
+    ``absorb``, mass whose sum reaches x leaves the distribution at that step.
+
+    For atoms a > b the state after k steps is the count j of a-steps, held as
+    a dense mass vector over j = 0..n.  A step is one shift-add,
+    m'[j] = m[j] p_b + m[j-1] p_a, and the sum reaches x exactly when
+    j >= j*_k (`count_thresholds`), so with absorption the surviving states
+    are always a prefix j < live.
+
+    Returns (absorbed probability by step k for k = 0..n, the surviving sums,
+    their masses, and the surviving mass at or above x).
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
     if n + 1 > STATE_CAP:
         raise StateSpaceError(f"{n + 1} count states exceed the cap {STATE_CAP}")
@@ -165,60 +159,6 @@ def _count_states(
     return absorbed_cum, sums, mass[:live], math.fsum(mass[thresholds[n]:live])
 
 
-def _propagate(
-    law: LatticeLaw, n: int, x: float, absorb: bool
-) -> tuple[list[float], np.ndarray, np.ndarray, float]:
-    """Propagate the exact distribution of the partial sums for n steps.  With
-    ``absorb``, mass whose sum reaches x leaves the distribution at that step.
-
-    Two atoms go to `_count_states`; otherwise the states are sorted numpy
-    keys, the exact integer indices of the sums on the atoms' common dyadic
-    lattice, with their masses, and equal keys are merged after every step.
-
-    Returns (absorbed probability by step k for k = 0..n, the surviving sums,
-    their masses, and the surviving mass at or above x).
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if len(law.atoms) == 2:
-        return _count_states(law, n, x, absorb)
-    values = [v for v, _ in law.atoms]
-    step = _lattice_step(values)
-    if step is None:
-        raise StateSpaceError(
-            f"atoms {values} share no lattice with denominator <= {LATTICE_DENOM_CAP}, "
-            "so their sums have no exact integer states (only two-point laws are "
-            "tracked by step counts)"
-        )
-    shifts = np.array([int(Fraction(v) / step) for v in values], dtype=np.int64)[:, None]
-    reach = n * int(np.abs(shifts).max()) + 1
-    if reach >= 2**53:
-        raise StateSpaceError(
-            f"lattice indices up to {reach} exceed 2**53; the sums would not be exact"
-        )
-    # clamped to the reachable range, the threshold fits in int64 and every
-    # comparison against it is unchanged
-    threshold = max(-reach, min(reach, math.ceil(Fraction(x) / step)))
-    probs = np.array([p for _, p in law.atoms])[:, None]
-    keys = np.zeros(1, dtype=np.int64)
-    mass = np.ones(1)
-    absorbed_cum = [0.0]
-    for _ in range(n):
-        keys = (keys + shifts).ravel()
-        mass = (mass * probs).ravel()
-        if absorb:
-            hit = keys >= threshold
-            absorbed_cum.append(absorbed_cum[-1] + float(mass[hit].sum()))
-            keys, mass = keys[~hit], mass[~hit]
-        keys, index = np.unique(keys, return_inverse=True)
-        mass = np.bincount(index, weights=mass, minlength=len(keys))
-        if len(keys) > STATE_CAP:
-            raise StateSpaceError(
-                f"{len(keys)} reachable states exceed the cap {STATE_CAP}"
-            )
-    return absorbed_cum, keys * float(step), mass, math.fsum(mass[keys >= threshold])
-
-
 def first_passage_dp(
     law: LatticeLaw, n: int, x: float
 ) -> tuple[list[float], list[tuple[float, float]], float]:
@@ -229,6 +169,8 @@ def first_passage_dp(
     surviving final distribution as (sum, prob) pairs, and the mass defect
     |1 - absorbed - surviving|).
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     absorbed_cum, sums, mass, _ = _propagate(law, n, x, absorb=True)
     defect = abs(1.0 - absorbed_cum[-1] - math.fsum(mass))
     return absorbed_cum, list(zip(sums.tolist(), mass.tolist())), defect
@@ -273,8 +215,10 @@ def exact_event_probability(
     method "dp" (the default) propagates sums with absorption, and without
     it for the final tail; "enumerate" walks every path (n <= ENUM_MAX_N).
     """
-    if v <= 0:
-        raise ValueError(f"v must be > 0, got {v}")
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"v must be finite and > 0, got {v}")
     if law.m2 <= 0:
         raise ValueError("law has zero second moment; every budget is trivial")
     if method == "enumerate":

@@ -7,8 +7,7 @@ import pytest
 
 from smbounds import bounds as bnd
 from smbounds import cumulant as cml
-from smbounds.oracle import LatticeLaw
-from smbounds.processes import CenteredExponential, TwoPointExtremal, exact_mgf
+from smbounds.processes import CenteredExponential, TwoPoint, TwoPointExtremal, exact_mgf
 
 LOG_COSH_1 = 0.43378083048302719  # 50-digit evaluation of log((e^-1 + e)/2)
 MGF_HALF_QUARTER = 1.0357417762077020  # 0.8 e^{-1/8} + 0.2 e^{1/2}
@@ -157,11 +156,11 @@ class TestTiltedSecondMomentCondition:
         assert cml.check_tilted_second_moment(TwoPointExtremal(0.5), (0.0, 0.5, 1.0, 2.0, 5.0))
 
     def test_degenerate_zero_law_passes(self):
-        assert cml.check_tilted_second_moment(LatticeLaw(((0.0, 1.0),)), (1.0,))
+        assert cml.check_tilted_second_moment(TwoPoint(0.0, 5e-324, 0.5, 0.5, "zero"), (1.0,))
 
     def test_wide_symmetric_law_fails(self):
         # E[xi^2 e^{3 xi}] = 4 cosh 6 ~ 806.9 > e^3 * 4 ~ 80.3
-        law = LatticeLaw(((2.0, 0.5), (-2.0, 0.5)))
+        law = TwoPoint(2.0, -2.0, 0.5, 0.5, "wide")
         assert not cml.check_tilted_second_moment(law, (3.0,))
         assert 4.0 * math.cosh(6.0) > math.exp(3.0) * 4.0
 

@@ -23,6 +23,16 @@ class TestLatticeLaw:
         with pytest.raises(ValueError):
             orc.LatticeLaw(((1.0, 1.0), (-1.0, 0.0)))  # zero probability
 
+    @pytest.mark.parametrize("atoms", [
+        ((1.0, math.nan), (-1.0, math.nan)),
+        ((math.inf, 0.5), (-1.0, 0.5)),
+        ((1.0, 0.5), (-math.inf, 0.5)),
+        ((math.nan, 0.5), (-1.0, 0.5)),
+    ])
+    def test_rejects_non_finite_atoms(self, atoms):
+        with pytest.raises(ValueError, match="finite"):
+            orc.LatticeLaw(atoms)
+
     def test_from_increment_law(self):
         law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
         assert law.m2 == pytest.approx(0.5, rel=1e-14)
@@ -69,7 +79,7 @@ class TestExactEventProbability:
         assert res.p_stopped == 0.0
 
     def test_rejects_zero_second_moment(self):
-        law = orc.LatticeLaw(((0.0, 1.0),))
+        law = orc.LatticeLaw(((0.0, 0.5), (5e-324, 0.5)))  # m2 underflows to 0
         with pytest.raises(ValueError):
             orc.exact_event_probability(law, 2, 0.5, 1.0)
 
@@ -78,6 +88,17 @@ class TestExactEventProbability:
         res = orc.exact_event_probability(RADEMACHER, 2, -0.5, math.sqrt(2.0))
         assert res.p_stopped == pytest.approx(0.75, abs=1e-15)
 
+    @pytest.mark.parametrize("param, x, v", [
+        ("x", math.inf, 2.0), ("x", -math.inf, 2.0), ("x", math.nan, 2.0),
+        ("v", 1.0, math.inf), ("v", 1.0, math.nan),
+    ])
+    def test_rejects_non_finite_x_and_v(self, param, x, v):
+        with pytest.raises(ValueError, match=f"^{param} must be finite"):
+            orc.exact_event_probability(RADEMACHER, 4, x, v)
+        if param == "x":
+            with pytest.raises(ValueError, match="^x must be finite"):
+                orc.first_passage_dp(RADEMACHER, 4, x)
+
 
 class TestDpVsEnumeration:
     LAWS = [
@@ -85,7 +106,6 @@ class TestDpVsEnumeration:
         orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5)),
         orc.LatticeLaw.from_increment_law(prc.DriftedTwoPoint(0.5, 0.25)),
         orc.LatticeLaw(((1.0, 0.3), (-0.45, 0.7))),        # off-lattice floats
-        orc.LatticeLaw(((1.0, 0.25), (0.0, 0.25), (-0.5, 0.5))),  # three atoms
     ]
 
     def test_agreement_on_random_instances(self):
@@ -159,7 +179,7 @@ class TestDpInternals:
     def test_nesting_invariant(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
-            law = TestDpVsEnumeration.LAWS[rng.integers(0, 5)]
+            law = TestDpVsEnumeration.LAWS[rng.integers(0, len(TestDpVsEnumeration.LAWS))]
             n = int(rng.integers(1, 12))
             x = float(rng.uniform(-0.5, n))
             v = math.sqrt(float(rng.uniform(0.2, 1.5)) * n * law.m2)
@@ -168,35 +188,22 @@ class TestDpInternals:
             assert res.p_max <= res.p_stopped + 1e-15
             assert res.p_stopped <= 1.0
 
-    def test_state_cap_refusal(self, monkeypatch):
-        # two-atom IID sums collapse to k+1 states per step, so the cap only
-        # trips for wide atom sets; shrink it to exercise the refusal path
-        monkeypatch.setattr(orc, "STATE_CAP", 30)
-        with pytest.raises(orc.StateSpaceError):
-            orc.first_passage_dp(RADEMACHER, 40, 1e9)
-
-    def test_lattice_index_range_refusal(self):
-        # step 1/2 and an atom at 2**50 + 1/2 put index 2**51 + 1 on the
-        # lattice of this three-atom law; 4 steps of it would pass 2**53
-        law = orc.LatticeLaw(((2.0**50 + 0.5, 0.25), (0.0, 0.25), (-0.5, 0.5)))
-        orc.first_passage_dp(law, 3, 1.0)
-        with pytest.raises(orc.StateSpaceError):
-            orc.first_passage_dp(law, 4, 1.0)
-
     def test_off_lattice_three_atom_refusal(self):
-        # 0.45 is k / 2**54 as a double: no lattice within LATTICE_DENOM_CAP
-        law = orc.LatticeLaw(((1.0, 0.25), (0.0, 0.25), (-0.45, 0.5)))
-        with pytest.raises(orc.StateSpaceError, match="no exact integer states"):
-            orc.exact_event_probability(law, 4, 0.5, 2.0)
+        # only two-point laws have an exact DP, so three atoms are refused
+        # when the law is built
+        with pytest.raises(ValueError, match="exactly two atoms, got 3"):
+            orc.LatticeLaw(((1.0, 0.25), (0.0, 0.25), (-0.45, 0.5)))
         # the same values on two atoms are exact step counts
         orc.exact_event_probability(orc.LatticeLaw(((1.0, 0.5), (-0.45, 0.5))), 4, 0.5, 2.0)
 
     def test_count_state_cap_refusal(self, monkeypatch):
-        # the count states j = 0..n are refused before the first step
+        # the count states j = 0..n are refused before the first step, whether
+        # or not any mass is absorbed
         monkeypatch.setattr(orc, "STATE_CAP", 100)
         orc.first_passage_dp(RADEMACHER, 99, 1.0)
-        with pytest.raises(orc.StateSpaceError):
-            orc.first_passage_dp(RADEMACHER, 100, 1.0)
+        for x in (1.0, 1e9):
+            with pytest.raises(orc.StateSpaceError):
+                orc.first_passage_dp(RADEMACHER, 100, x)
 
 
 def _rademacher_tail(n: int, m: int) -> float:

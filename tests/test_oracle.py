@@ -188,6 +188,13 @@ class TestDpInternals:
             assert res.p_max <= res.p_stopped + 1e-15
             assert res.p_stopped <= 1.0
 
+    def test_state_cap_refusal(self, monkeypatch):
+        # n + 1 count states exceed a shrunken cap even when the threshold is
+        # out of reach and no mass is ever absorbed
+        monkeypatch.setattr(orc, "STATE_CAP", 30)
+        with pytest.raises(orc.StateSpaceError):
+            orc.first_passage_dp(RADEMACHER, 40, 1e9)
+
     def test_off_lattice_three_atom_refusal(self):
         # only two-point laws have an exact DP, so three atoms are refused
         # when the law is built

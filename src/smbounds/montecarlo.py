@@ -6,12 +6,24 @@ counter-based substream keyed by (seed, j), so hit counts are bit-identical
 no matter how the chunks are scheduled, and path i is the same path in every
 run with the same seed.
 
-Each chunk's substream is drawn in row blocks of about BLOCK_ELEMS steps.
-The generator fills rows in order, so the blocks concatenate to the chunk
-drawn at once, and hit counts do not depend on the block size.  Each block's
-running statistic is taken once and every event is tested on it, so memory is
-O(block x n) for any n and number of trials.  On a two-point law {a > b} the
-statistic is the int32 count of a-steps, from the same uniforms the law's
+The work is split into units, each a chunk and a range of its rows, and the
+units run on a pool of threads, one per CPU this process may run on (at most
+MAX_WORKERS).  numpy releases the interpreter lock while it draws and sums, so
+the threads overlap.  On a two-point law each step takes one 64-bit Philox
+output and Philox advances in blocks of four outputs, so every range starts on
+a row that is a multiple of 4 and its worker enters the chunk's substream
+there with `advance`; a chunk is split into one range per worker.  The
+exponential's ziggurat takes a variable number of outputs per draw, so on
+`cexp` each unit is a whole chunk.  Counts are summed, and the nesting flags
+ANDed, in unit order, so results never depend on the number of workers or on
+their scheduling.
+
+A worker draws its range in row blocks of about BLOCK_ELEMS steps.  The
+generator fills rows in order, so the blocks concatenate to the range drawn at
+once, and hit counts do not depend on the block size.  Each block's running
+statistic is taken once and every event is tested on it, so memory is
+O(workers x block) for any n and number of trials.  On a two-point law {a > b}
+the statistic is the int32 count of a-steps, from the same uniforms the law's
 `sample` maps to atoms, compared with the exact thresholds j*_k of
 `processes.count_thresholds` (the oracle's states and thresholds), so no float
 sum decides a path that lands on x; other laws sum float increments in place.
@@ -19,8 +31,10 @@ sum decides a path that lands on x; other laws sum float increments in place.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -38,6 +52,7 @@ from .processes import (
 __all__ = [
     "CHUNK_SIZE",
     "BLOCK_ELEMS",
+    "MAX_WORKERS",
     "Estimate",
     "BoundCheck",
     "NestedEstimates",
@@ -52,8 +67,12 @@ __all__ = [
 #: Fixed chunk size; substream j covers paths [j * CHUNK_SIZE, (j+1) * CHUNK_SIZE).
 CHUNK_SIZE = 1 << 16
 
-#: Steps per row block; a chunk is drawn max(1, BLOCK_ELEMS // n) paths at a time.
-BLOCK_ELEMS = 1 << 18
+#: Steps per row block; a worker draws max(1, BLOCK_ELEMS // n) paths at a time.
+BLOCK_ELEMS = 1 << 16
+
+#: Most threads one count runs on: four blocks in flight are the 2^18 steps
+#: that one block held when the loop ran in a single thread.
+MAX_WORKERS = 4
 
 
 def clopper_pearson(hits: int, trials: int, gamma: float) -> tuple[float, float]:
@@ -109,6 +128,98 @@ class NestedEstimates:
     nesting_ok: bool  # final => max => stopped held on every path
 
 
+def _workers() -> int:
+    """Threads for one count: the CPUs this process may run on, at most
+    MAX_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(MAX_WORKERS, cpus)
+
+
+def _units(law: IncrementLaw, trials: int, workers: int) -> list[tuple[int, int, int]]:
+    """(chunk, first row, end row) of every work unit, in the order the counts
+    are summed: one range per worker in each chunk of a two-point law, whose
+    ranges start on multiples of 4 rows, and whole chunks otherwise."""
+    parts = workers if law.atoms() is not None else 1
+    units = []
+    for chunk, start in enumerate(range(0, trials, CHUNK_SIZE)):
+        m = min(CHUNK_SIZE, trials - start)
+        cuts = [m * i // parts // 4 * 4 for i in range(parts)] + [m]
+        units += [(chunk, first, end) for first, end in zip(cuts, cuts[1:]) if first < end]
+    return units
+
+
+def _unit_generator(seed: int, chunk: int, first: int, n: int) -> np.random.Generator:
+    """Chunk `chunk`'s substream positioned at row `first` of its (paths, n)
+    two-point draws.  Each step takes one 64-bit output and Philox advances in
+    blocks of four outputs, so first * n must be a multiple of 4."""
+    if first * n % 4:
+        raise ValueError(f"row {first} of {n} steps does not start a Philox block")
+    rng = make_generator(seed, chunk)
+    if first:
+        rng.bit_generator.advance(first * n // 4)
+    return rng
+
+
+def _unit_hits(
+    law: IncrementLaw, specs: Sequence[EventSpec], levels: list[np.ndarray], n: int,
+    seed: int, unit: tuple[int, int, int],
+) -> tuple[list[int], bool]:
+    """Hit counts and the nesting flag of one work unit."""
+    chunk, first, end = unit
+    rng = _unit_generator(seed, chunk, first, n)
+    rows = max(1, BLOCK_ELEMS // n)
+    counts = [0] * len(specs)
+    nesting_ok = True
+    for done in range(first, end, rows):
+        stat = sample_statistic(law, rng, (min(rows, end - done), n))
+        flags = [hits_from_levels(law, stat, lv, spec) for lv, spec in zip(levels, specs)]
+        for i, hit in enumerate(flags):
+            counts[i] += int(np.count_nonzero(hit))
+        nesting_ok = nesting_ok and all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))
+    return counts, nesting_ok
+
+
+def _map_in_order(work: Callable, items: Sequence, workers: int) -> list:
+    """[work(item) for item in items], computed on up to `workers` threads,
+    the calling one among them.  A failure in any thread stops the others
+    taking new items and is raised here."""
+    results = [None] * len(items)
+    errors: list[BaseException] = []
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with lock:
+                i = None if errors else next(pending, None)
+            if i is None:
+                return
+            try:
+                results[i] = work(items[i])
+            except BaseException as exc:  # raised again in the calling thread
+                with lock:
+                    errors.append(exc)
+                return
+
+    threads = [threading.Thread(target=drain) for _ in range(min(workers, len(items)) - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        drain()
+        for thread in threads:
+            thread.join()
+    except BaseException as exc:  # interrupted while joining: stop the workers too
+        with lock:
+            errors.append(exc)
+        raise
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _count_hits(
     law: IncrementLaw, specs: Sequence[EventSpec], n: int, trials: int, seed: int
 ) -> tuple[list[int], bool]:
@@ -119,18 +230,14 @@ def _count_hits(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     levels = [event_levels(law, spec, n) for spec in specs]
+    workers = _workers()
+    per_unit = _map_in_order(lambda unit: _unit_hits(law, specs, levels, n, seed, unit),
+                             _units(law, trials, workers), workers)
     counts = [0] * len(specs)
     nesting_ok = True
-    rows = max(1, BLOCK_ELEMS // n)
-    for index, first in enumerate(range(0, trials, CHUNK_SIZE)):
-        m = min(CHUNK_SIZE, trials - first)
-        rng = make_generator(seed, index)
-        for done in range(0, m, rows):
-            stat = sample_statistic(law, rng, (min(rows, m - done), n))
-            flags = [hits_from_levels(law, stat, lv, spec) for lv, spec in zip(levels, specs)]
-            for i, hit in enumerate(flags):
-                counts[i] += int(np.count_nonzero(hit))
-            nesting_ok = nesting_ok and all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))
+    for unit_counts, unit_ok in per_unit:
+        counts = [c + u for c, u in zip(counts, unit_counts)]
+        nesting_ok = nesting_ok and unit_ok
     return counts, nesting_ok
 
 

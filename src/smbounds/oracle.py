@@ -178,6 +178,8 @@ def first_passage_dp(
 
 def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
     """Brute force over |atoms|^n paths; the independent route for the DP."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration is capped at n <= {ENUM_MAX_N}, got {n}")
     k_max = budget_steps(law.m2, n, v)

@@ -1,5 +1,6 @@
 """CLI surface: output schemas, exit codes, config replay."""
 
+import ast
 import json
 import math
 import os
@@ -265,3 +266,20 @@ def test_pure_math_commands_do_not_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_loads_no_pool_module():
+    # of the thread and process pool modules, importing the package may load
+    # only the `threading` that numpy loads itself (Monte Carlo starts its
+    # threads from it); any other would add to the start-up of every process
+    code = (
+        "import sys\n"
+        "import smbounds\n"
+        "pools = ('_thread', 'threading', 'queue', '_queue', 'concurrent',\n"
+        "         'multiprocessing', '_multiprocessing')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in pools))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert set(ast.literal_eval(proc.stdout.splitlines()[-1])) <= {"_thread", "threading"}

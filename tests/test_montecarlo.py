@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -184,6 +186,88 @@ class TestRowBlocks:
             tracemalloc.stop()
         assert nested.nesting_ok
         assert peak <= 8 * mc.BLOCK_ELEMS * 8  # 16 MB; about 4 MB observed
+
+
+class TestWorkers:
+    """Counts are summed in unit order, so the number of threads that run the
+    units never moves a hit count or the nesting flag."""
+
+    @pytest.fixture
+    def fast_switching(self):
+        # switch threads often, so that a lost update between workers shows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            yield
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 500])
+    @pytest.mark.parametrize("text", LAWS)
+    def test_counts_do_not_depend_on_the_worker_count(self, monkeypatch, fast_switching,
+                                                      text, n):
+        # a block of BLOCK_ELEMS // n rows holds a multiple of 4 steps at
+        # n = 1 and 500 but not at n = 3 or 5, and the second chunk's ranges
+        # are short
+        law = prc.parse_law(text)
+        x, v = 0.5 * math.sqrt(n), math.sqrt(n * law.second_moment() * (1 + 1e-7))
+        specs = [prc.EventSpec(x, v, FINAL), prc.EventSpec(x, v, MAX),
+                 prc.EventSpec(x, v, STOPPED), prc.EventSpec(x, v, TRUNCATED, y=0.8)]
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(mc, "_workers", lambda workers=workers: workers)
+            results.append(mc._count_hits(law, specs, n, mc.CHUNK_SIZE + 137, seed=41))
+        assert results[0][1] and all(c > 0 for c in results[0][0][1:])
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("text", LAWS[:3])
+    def test_an_advanced_range_is_the_same_rows_of_the_chunk(self, text):
+        law = prc.parse_law(text)
+        m = 1000
+        for n in (1, 3, 5, 7):
+            whole = prc.sample_statistic(law, prc.make_generator(17, 2), (m, n))
+            for first in (4, 36, 500, 996):
+                rng = mc._unit_generator(17, 2, first, n)
+                assert np.array_equal(prc.sample_statistic(law, rng, (m - first, n)),
+                                      whole[first:])
+
+    def test_a_range_must_start_a_philox_block(self):
+        with pytest.raises(ValueError, match="Philox block"):
+            mc._unit_generator(17, 2, 6, 3)
+
+    def test_units_cover_every_row_once(self):
+        trials = 2 * mc.CHUNK_SIZE + 137
+        for law, workers in ((RADEMACHER, 3), (prc.CenteredExponential(), 3), (RADEMACHER, 1)):
+            units = mc._units(law, trials, workers)
+            rows = [(chunk * mc.CHUNK_SIZE + first, chunk * mc.CHUNK_SIZE + end)
+                    for chunk, first, end in units]
+            assert rows[0][0] == 0 and rows[-1][1] == trials
+            assert all(a[1] == b[0] for a, b in zip(rows, rows[1:]))
+            assert all(first % 4 == 0 for _, first, _ in units)
+        assert len(mc._units(RADEMACHER, trials, 3)) == 9
+        assert len(mc._units(prc.CenteredExponential(), trials, 3)) == 3
+
+    def test_a_worker_exception_reaches_the_caller(self, monkeypatch):
+        # the calling thread waits until a worker thread has failed, so the
+        # failure is raised in a thread other than the caller's
+        failed = threading.Event()
+        unit_hits = mc._unit_hits
+
+        def fail_off_the_caller(*args):
+            if threading.current_thread() is threading.main_thread():
+                failed.wait(timeout=60)
+                return unit_hits(*args)
+            failed.set()
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(mc, "_workers", lambda: 3)
+        monkeypatch.setattr(mc, "_unit_hits", fail_off_the_caller)
+        threads = threading.active_count()
+        spec = prc.EventSpec(1.0, 3.0, STOPPED)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            mc.estimate_event(RADEMACHER, spec, 5, 2 * mc.CHUNK_SIZE, seed=3)
+        assert failed.is_set()
+        assert threading.active_count() == threads
 
 
 class TestPinnedHits:

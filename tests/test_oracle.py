@@ -121,6 +121,12 @@ class TestDpVsEnumeration:
             assert a.p_max == pytest.approx(b.p_max, abs=1e-12)
             assert a.p_final == pytest.approx(b.p_final, abs=1e-12)
 
+    @pytest.mark.parametrize("method", ["dp", "enumerate"])
+    def test_empty_horizon_is_refused(self, method):
+        # the empty path would reach x = -1 at its end but never along the way
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            orc.exact_event_probability(RADEMACHER, 0, -1.0, 1.0, method=method)
+
     def test_enumeration_horizon_cap(self):
         with pytest.raises(ValueError):
             orc.exact_event_probability(RADEMACHER, 26, 1.0, 10.0, method="enumerate")

@@ -6,17 +6,18 @@ counter-based substream keyed by (seed, j), so hit counts are bit-identical
 no matter how the chunks are scheduled, and path i is the same path in every
 run with the same seed.
 
-The work is split into units, each a chunk and a range of its rows, and the
-units run on a pool of threads, one per CPU this process may run on (at most
-MAX_WORKERS).  numpy releases the interpreter lock while it draws and sums, so
-the threads overlap.  On a two-point law each step takes one 64-bit Philox
-output and Philox advances in blocks of four outputs, so every range starts on
-a row that is a multiple of 4 and its worker enters the chunk's substream
-there with `advance`; a chunk is split into one range per worker.  The
-exponential's ziggurat takes a variable number of outputs per draw, so on
-`cexp` each unit is a whole chunk.  Counts are summed, and the nesting flags
-ANDed, in unit order, so results never depend on the number of workers or on
-their scheduling.
+The work is split into units, each a chunk and a range of its rows.  They run
+on a standard thread pool, imported on first use, of one thread per CPU this
+process may run on (at most MAX_WORKERS); numpy releases the interpreter lock
+while it draws and sums, so the threads overlap.  On a two-point law each step
+takes one 64-bit Philox output and Philox advances in blocks of four outputs,
+so every range starts on a row that is a multiple of 4 and its worker enters
+the chunk's substream there with `advance`; a chunk is split into one range
+per worker.  The exponential's ziggurat takes a variable number of outputs per
+draw, so on `cexp` each unit is a whole chunk.  The calling thread waits, then
+sums the counts and ANDs the nesting flags in unit order, so results never
+depend on the number of workers or on their scheduling.  When a unit fails,
+the units not yet started are cancelled and the failure reaches the caller.
 
 A worker draws its range in row blocks of about BLOCK_ELEMS steps.  The
 generator fills rows in order, so the blocks concatenate to the range drawn at
@@ -32,9 +33,8 @@ sum decides a path that lands on x; other laws sum float increments in place.
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -75,6 +75,11 @@ BLOCK_ELEMS = 1 << 16
 MAX_WORKERS = 4
 
 
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+
+
 def clopper_pearson(hits: int, trials: int, gamma: float) -> tuple[float, float]:
     """Exact (conservative) two-sided binomial interval at confidence gamma.
 
@@ -83,8 +88,7 @@ def clopper_pearson(hits: int, trials: int, gamma: float) -> tuple[float, float]
     """
     if not 0 <= hits <= trials or trials < 1:
         raise ValueError(f"need 0 <= hits <= trials, got hits={hits}, trials={trials}")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    _check_gamma(gamma)
     from scipy.special import betaincinv  # the beta quantile, kept off the import path
 
     alpha = 1.0 - gamma
@@ -182,70 +186,39 @@ def _unit_hits(
     return counts, nesting_ok
 
 
-def _map_in_order(work: Callable, items: Sequence, workers: int) -> list:
-    """[work(item) for item in items], computed on up to `workers` threads,
-    the calling one among them.  A failure in any thread stops the others
-    taking new items and is raised here."""
-    results = [None] * len(items)
-    errors: list[BaseException] = []
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
-
-    def drain() -> None:
-        while True:
-            with lock:
-                i = None if errors else next(pending, None)
-            if i is None:
-                return
-            try:
-                results[i] = work(items[i])
-            except BaseException as exc:  # raised again in the calling thread
-                with lock:
-                    errors.append(exc)
-                return
-
-    threads = [threading.Thread(target=drain) for _ in range(min(workers, len(items)) - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        drain()
-        for thread in threads:
-            thread.join()
-    except BaseException as exc:  # interrupted while joining: stop the workers too
-        with lock:
-            errors.append(exc)
-        raise
-    if errors:
-        raise errors[0]
-    return results
-
-
 def _count_hits(
     law: IncrementLaw, specs: Sequence[EventSpec], n: int, trials: int, seed: int
 ) -> tuple[list[int], bool]:
     """Hit counts of each spec over `trials` paths, and whether every path
-    that hits one spec also hits the next one in `specs`."""
+    that hits one spec also hits the next one in `specs`.  The pool is
+    imported on first use and the caller waits; a failed unit cancels the
+    units not yet started and is raised here once every thread is joined."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    from concurrent.futures import ThreadPoolExecutor  # kept off the import path
+
     levels = [event_levels(law, spec, n) for spec in specs]
     workers = _workers()
-    per_unit = _map_in_order(lambda unit: _unit_hits(law, specs, levels, n, seed, unit),
-                             _units(law, trials, workers), workers)
-    counts = [0] * len(specs)
-    nesting_ok = True
-    for unit_counts, unit_ok in per_unit:
-        counts = [c + u for c, u in zip(counts, unit_counts)]
-        nesting_ok = nesting_ok and unit_ok
-    return counts, nesting_ok
+    with ThreadPoolExecutor(workers) as pool:
+        per_unit = list(pool.map(lambda unit: _unit_hits(law, specs, levels, n, seed, unit),
+                                 _units(law, trials, workers)))
+    unit_counts, unit_flags = zip(*per_unit)
+    return [sum(column) for column in zip(*unit_counts)], all(unit_flags)
 
 
-def _build_estimate(
-    law: IncrementLaw, spec: EventSpec, n: int, trials: int, hits: int, gamma: float, seed: int
-) -> Estimate:
-    lo, hi = clopper_pearson(hits, trials, gamma)
-    return Estimate(law, spec, n, trials, hits, gamma, seed, hits / trials, lo, hi)
+def _estimates(
+    law: IncrementLaw, specs: Sequence[EventSpec], n: int, trials: int, seed: int,
+    gamma: float,
+) -> tuple[list[Estimate], bool]:
+    """The estimate of each spec on the same paths, and the nesting flag of
+    `_count_hits`.  gamma is checked before any path is drawn."""
+    _check_gamma(gamma)
+    counts, nesting_ok = _count_hits(law, specs, n, trials, seed)
+    intervals = [clopper_pearson(hits, trials, gamma) for hits in counts]
+    return [Estimate(law, spec, n, trials, hits, gamma, seed, hits / trials, lo, hi)
+            for spec, hits, (lo, hi) in zip(specs, counts, intervals)], nesting_ok
 
 
 def estimate_events(
@@ -258,11 +231,7 @@ def estimate_events(
 ) -> list[Estimate]:
     """Estimate several events on the same simulated paths (shared seeds mean
     shared paths, so per-path comparisons across specs are meaningful)."""
-    counts, _ = _count_hits(law, specs, n, trials, seed)
-    return [
-        _build_estimate(law, spec, n, trials, hits, gamma, seed)
-        for spec, hits in zip(specs, counts)
-    ]
+    return _estimates(law, specs, n, trials, seed, gamma)[0]
 
 
 def estimate_event(
@@ -293,12 +262,8 @@ def nested_event_estimates(
         EventSpec(x, v, EventVariant.MAX_WITH_FINAL_QC),
         EventSpec(x, v, EventVariant.STOPPED_ANY_K),
     ]
-    counts, nesting_ok = _count_hits(law, specs, n, trials, seed)
-    est = [
-        _build_estimate(law, spec, n, trials, hits, gamma, seed)
-        for spec, hits in zip(specs, counts)
-    ]
-    return NestedEstimates(est[0], est[1], est[2], nesting_ok)
+    (final, max_qc, stopped), nesting_ok = _estimates(law, specs, n, trials, seed, gamma)
+    return NestedEstimates(final, max_qc, stopped, nesting_ok)
 
 
 def verify_bound(estimate: Estimate, bound: LogProb) -> BoundCheck:

@@ -2,9 +2,10 @@
 
 Since the increments are IID, the quadratic characteristic is the
 deterministic ramp k * m2, so the stopped event reduces to first passage of
-the partial sums above x within k_max = floor(v^2 / m2) steps.  The DP
-propagates the exact distribution of the partial sum, absorbing mass at first
-passage; a brute-force path enumeration is kept as an independent route.
+the partial sums above x within k_max = min(n, floor(v^2/m2 + 1e-9)) steps,
+the rule of `processes.budget_steps`.  The DP propagates the exact
+distribution of the partial sum, absorbing mass at first passage; a
+brute-force path enumeration is kept as an independent route.
 
 Every passage decision is exact in integers.  A law on two atoms a > b is
 tracked by the count j of a-steps: a dense mass vector over j takes one

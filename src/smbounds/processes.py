@@ -89,6 +89,10 @@ class TwoPoint:
             raise ValueError(f"truncation level y must be > 0, got {y}")
         return sum(p for v, p in self.atoms() if v > y)
 
+    def tilted_second_moment(self, lam: float) -> float:
+        """E[xi^2 e^{lam*xi}], exact from the atoms."""
+        return sum(v * v * p * math.exp(lam * v) for v, p in self.atoms())
+
     @property
     def support_max(self) -> float:
         return self.hi

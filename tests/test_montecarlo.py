@@ -4,6 +4,7 @@ import itertools
 import math
 import sys
 import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -111,6 +112,20 @@ class TestEstimateEvent:
         spec = prc.EventSpec(1.0, 3.0, STOPPED)
         with pytest.raises(ValueError):
             mc.estimate_event(RADEMACHER, spec, 4, 0, seed=1)
+
+    @pytest.mark.parametrize("gamma", [0.0, 1.0, 1.5, math.nan])
+    def test_gamma_is_checked_before_any_path_is_drawn(self, monkeypatch, gamma):
+        def no_paths(*args):
+            raise AssertionError("paths drawn before gamma was checked")
+
+        monkeypatch.setattr(mc, "_count_hits", no_paths)
+        spec = prc.EventSpec(1.0, 3.0, STOPPED)
+        for estimate in (lambda: mc.estimate_event(RADEMACHER, spec, 4, 100, 1, gamma),
+                         lambda: mc.estimate_events(RADEMACHER, [spec], 4, 100, 1, gamma),
+                         lambda: mc.nested_event_estimates(RADEMACHER, 1.0, 3.0, 4, 100, 1,
+                                                           gamma)):
+            with pytest.raises(ValueError, match=r"gamma must be in \(0, 1\)"):
+                estimate()
 
 
 class TestNestedEstimates:
@@ -268,6 +283,31 @@ class TestWorkers:
             mc.estimate_event(RADEMACHER, spec, 5, 2 * mc.CHUNK_SIZE, seed=3)
         assert failed.is_set()
         assert threading.active_count() == threads
+
+
+def test_a_failed_unit_stops_the_units_not_yet_started(monkeypatch):
+    # unit 0 fails at once and every other unit sleeps, so most of them have
+    # not started when the failure reaches the caller
+    ran = []
+    unit_hits = mc._unit_hits
+
+    def fail_first(*args):
+        unit = args[-1]
+        if unit[:2] == (0, 0):
+            raise RuntimeError("unit 0 failed")
+        ran.append(unit)
+        time.sleep(0.02)
+        return unit_hits(*args)
+
+    monkeypatch.setattr(mc, "_workers", lambda: 2)
+    monkeypatch.setattr(mc, "_unit_hits", fail_first)
+    threads = threading.active_count()
+    trials = 16 * mc.CHUNK_SIZE
+    assert len(mc._units(RADEMACHER, trials, 2)) == 32
+    with pytest.raises(RuntimeError, match="unit 0 failed"):
+        mc.estimate_event(RADEMACHER, prc.EventSpec(1.0, 3.0, STOPPED), 4, trials, seed=3)
+    assert len(ran) < 31
+    assert threading.active_count() == threads
 
 
 class TestPinnedHits:

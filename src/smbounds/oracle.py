@@ -3,9 +3,11 @@
 Since the increments are IID, the quadratic characteristic is the
 deterministic ramp k * m2, so the stopped event reduces to first passage of
 the partial sums above x within k_max = min(n, floor(v^2/m2 + 1e-9)) steps,
-the rule of `processes.budget_steps`.  The DP propagates the exact
-distribution of the partial sum, absorbing mass at first passage; a
-brute-force path enumeration is kept as an independent route.
+the rule of `processes.budget_steps`.  One DP pass propagates the exact
+distribution of the partial sum, absorbing mass at first passage; the final
+tail, which needs no absorption, is the closed-form tail of the
+Binomial(n, p_a) count of upper steps.  A brute-force path enumeration is
+kept as an independent route.
 
 Every passage decision is exact in integers.  A law on two atoms a > b is
 tracked by the count j of a-steps: a dense mass vector over j takes one
@@ -24,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bounds as bnd
-from .processes import IncrementLaw, budget_steps, count_thresholds
+from .processes import IncrementLaw, TwoPoint, budget_steps, count_thresholds
 
 __all__ = [
     "StateSpaceError",
@@ -49,23 +51,15 @@ class StateSpaceError(RuntimeError):
 @dataclass(frozen=True)
 class LatticeLaw:
     """Two-point law given by its two (value, probability) atoms, in any
-    order; values and probabilities must be finite."""
+    order; the atoms must make a valid `TwoPoint`."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         if len(self.atoms) != 2:
             raise ValueError(f"a law needs exactly two atoms, got {len(self.atoms)}")
-        if not all(math.isfinite(v) and math.isfinite(p) for v, p in self.atoms):
-            raise ValueError(f"atom values and probabilities must be finite, got {self.atoms}")
-        values = [v for v, _ in self.atoms]
-        if len(set(values)) != len(values):
-            raise ValueError(f"atom values must be distinct, got {values}")
-        if any(p <= 0 for _, p in self.atoms):
-            raise ValueError("atom probabilities must be positive")
-        total = math.fsum(p for _, p in self.atoms)
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"atom probabilities must sum to 1, got {total}")
+        (a, pa), (b, pb) = sorted(self.atoms, reverse=True)
+        TwoPoint(a, b, pa, pb, "lattice")  # refuses bad atoms with a ValueError
 
     @classmethod
     def from_increment_law(cls, law: IncrementLaw) -> "LatticeLaw":
@@ -89,7 +83,8 @@ class LatticeLaw:
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Exact probabilities of the three nested deviation events."""
+    """Exact probabilities of the three nested deviation events, and the mass
+    defect of the pass that produced them."""
 
     p_stopped: float
     p_max: float
@@ -97,6 +92,7 @@ class ExactResult:
     n: int
     x: float
     v: float
+    defect: float
 
 
 @dataclass(frozen=True)
@@ -117,21 +113,24 @@ def _clamp01(p: float) -> float:
     return min(1.0, max(0.0, p))
 
 
-def _propagate(
-    law: LatticeLaw, n: int, x: float, absorb: bool
-) -> tuple[list[float], np.ndarray, np.ndarray, float]:
-    """Propagate the exact distribution of the partial sums for n steps.  With
-    ``absorb``, mass whose sum reaches x leaves the distribution at that step.
+def first_passage_dp(
+    law: LatticeLaw, n: int, x: float
+) -> tuple[list[float], list[tuple[float, float]], float]:
+    """Propagate the exact distribution of the partial sums for n steps,
+    absorbing mass at the first k where X_k >= x.
 
     For atoms a > b the state after k steps is the count j of a-steps, held as
     a dense mass vector over j = 0..n.  A step is one shift-add,
     m'[j] = m[j] p_b + m[j-1] p_a, and the sum reaches x exactly when
-    j >= j*_k (`count_thresholds`), so with absorption the surviving states
-    are always a prefix j < live.
+    j >= j*_k (`count_thresholds`), so the surviving states are always a
+    prefix j < live.
 
-    Returns (absorbed probability by step k for k = 0..n, the surviving sums,
-    their masses, and the surviving mass at or above x).
+    Returns (cumulative absorbed probability by step k for k = 0..n, the
+    surviving final distribution as (sum, prob) pairs, and the mass defect
+    |1 - absorbed - surviving|).
     """
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
@@ -147,34 +146,34 @@ def _propagate(
         mass[:live] *= pb
         mass[1:live + 1] += up
         live = live + 1 if live else 0
-        if absorb:
-            cut = min(live, thresholds[k])
-            absorbed_cum.append(absorbed_cum[-1] + float(mass[cut:live].sum()))
-            mass[cut:live] = 0.0
-            live = cut
+        cut = min(live, thresholds[k])
+        absorbed_cum.append(absorbed_cum[-1] + float(mass[cut:live].sum()))
+        mass[cut:live] = 0.0
+        live = cut
     # j*a + (n - j)*b, correctly rounded from integer numerators
     fa, fb = Fraction(a), Fraction(b)
     den = math.lcm(fa.denominator, fb.denominator)
     na, nb = fa.numerator * (den // fa.denominator), fb.numerator * (den // fb.denominator)
-    sums = np.array([(n * nb + j * (na - nb)) / den for j in range(live)])
-    return absorbed_cum, sums, mass[:live], math.fsum(mass[thresholds[n]:live])
+    sums = [(n * nb + j * (na - nb)) / den for j in range(live)]
+    final = mass[:live].tolist()
+    defect = abs(1.0 - absorbed_cum[-1] - math.fsum(final))
+    return absorbed_cum, list(zip(sums, final)), defect
 
 
-def first_passage_dp(
-    law: LatticeLaw, n: int, x: float
-) -> tuple[list[float], list[tuple[float, float]], float]:
-    """Propagate the exact distribution of the partial sums with absorption at
-    the first k where X_k >= x.
-
-    Returns (cumulative absorbed probability by step k for k = 0..n, the
-    surviving final distribution as (sum, prob) pairs, and the mass defect
-    |1 - absorbed - surviving|).
-    """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    absorbed_cum, sums, mass, _ = _propagate(law, n, x, absorb=True)
-    defect = abs(1.0 - absorbed_cum[-1] - math.fsum(mass))
-    return absorbed_cum, list(zip(sums.tolist(), mass.tolist())), defect
+def _final_tail(law: LatticeLaw, n: int, x: float) -> float:
+    """P(X_n >= x) = P(J >= j*_n) for the count J ~ Binomial(n, p_a) of
+    a-steps, with no absorption; j*_n is the last of `count_thresholds`,
+    computed alone.  The pmf is built from its term ratios outward from the
+    mode (so no term overflows) and normalised by its sum."""
+    (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
+    j_star = math.ceil((Fraction(x) - n * Fraction(b)) / (Fraction(a) - Fraction(b)))
+    j = np.arange(n)
+    ratio = (n - j) / (j + 1) * (pa / pb)  # pmf[j + 1] / pmf[j]
+    mode = min(n, math.floor((n + 1) * pa))
+    pmf = np.ones(n + 1)
+    pmf[mode + 1:] = np.cumprod(ratio[mode:])
+    pmf[:mode] = np.cumprod(1.0 / ratio[:mode][::-1])[::-1]
+    return float(pmf[max(j_star, 0):].sum() / pmf.sum())
 
 
 def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
@@ -190,7 +189,7 @@ def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
     scale = math.lcm(*(Fraction(val).denominator for val in values))
     target = int(Fraction(x) * scale)
     atoms = [(int(Fraction(val) * scale), p) for val, p in law.atoms]
-    p_stopped = p_max = p_final = 0.0
+    p_stopped = p_max = p_final = total = 0.0
     for path in itertools.product(atoms, repeat=n):
         prob = 1.0
         s = 0
@@ -206,7 +205,8 @@ def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
             p_max += prob
         if qc_ok_final and s >= target:
             p_final += prob
-    return ExactResult(_clamp01(p_stopped), _clamp01(p_max), _clamp01(p_final), n, x, v)
+        total += prob
+    return ExactResult(*map(_clamp01, (p_stopped, p_max, p_final)), n, x, v, abs(1.0 - total))
 
 
 def exact_event_probability(
@@ -215,8 +215,10 @@ def exact_event_probability(
     """Exact probabilities of the stopped, running-max, and final-time events
     at threshold x with variance budget v^2.
 
-    method "dp" (the default) propagates sums with absorption, and without
-    it for the final tail; "enumerate" walks every path (n <= ENUM_MAX_N).
+    method "dp" (the default) makes one absorbing `first_passage_dp` pass and,
+    when the budget never binds, takes the final tail in closed form from the
+    Binomial(n, p_a) count of a-steps; "enumerate" walks every path
+    (n <= ENUM_MAX_N).
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
@@ -230,14 +232,13 @@ def exact_event_probability(
         raise ValueError(f"unknown method {method!r}")
 
     k_max = budget_steps(law.m2, n, v)
-    absorbed_cum, _, _ = first_passage_dp(law, n, x)
+    absorbed_cum, _, defect = first_passage_dp(law, n, x)
     p_stopped = absorbed_cum[k_max] if k_max >= 1 else 0.0
     if k_max >= n:
-        p_max = absorbed_cum[n]
-        p_final = _propagate(law, n, x, absorb=False)[3]
+        p_max, p_final = absorbed_cum[n], _final_tail(law, n, x)
     else:
         p_max = p_final = 0.0
-    return ExactResult(_clamp01(p_stopped), _clamp01(p_max), _clamp01(p_final), n, x, v)
+    return ExactResult(*map(_clamp01, (p_stopped, p_max, p_final)), n, x, v, defect)
 
 
 #: Absolute slack when comparing an exact probability against a bound; covers

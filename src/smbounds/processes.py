@@ -38,7 +38,6 @@ __all__ = [
     "exceedance_tail",
     "simulate_path",
     "event_hit",
-    "event_hits",
     "budget_steps",
     "count_thresholds",
 ]
@@ -64,6 +63,18 @@ class TwoPoint:
     p_hi: float
     p_lo: float
     name: str
+
+    def __post_init__(self) -> None:
+        for field in ("hi", "lo", "p_hi", "p_lo"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ValueError(f"{field} must be finite, got {value}")
+            if field.startswith("p_") and value <= 0:
+                raise ValueError(f"{field} must be > 0, got {value}")
+        if not self.hi > self.lo:
+            raise ValueError(f"hi must be > lo, got hi={self.hi}, lo={self.lo}")
+        if abs(self.p_hi + self.p_lo - 1.0) > 1e-12:
+            raise ValueError(f"p_hi + p_lo must be 1, got {self.p_hi + self.p_lo}")
 
     def atoms(self) -> tuple[tuple[float, float], tuple[float, float]]:
         """The (value, probability) pairs, upper atom first."""
@@ -320,9 +331,10 @@ def event_hit(path: PathRecord, spec: EventSpec) -> bool:
 
     The partial sums are compared with x in exact rational arithmetic on the
     stored increments, which on a two-point law decides every path as the
-    step-count test of `event_hits` and Monte Carlo does.  The k-wise variants
-    require both conditions at the same k; the budget condition holds on the
-    leading `budget_steps` steps, and the threshold comparison is inclusive.
+    step-count test of Monte Carlo (`event_levels`, `hits_from_levels`)
+    does.  The k-wise variants require both conditions at the same k; the
+    budget condition holds on the leading `budget_steps` steps, and the
+    threshold comparison is inclusive.
     """
     n, variance = len(path), path.qc
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
@@ -392,20 +404,6 @@ def hits_from_levels(law: IncrementLaw, stat: np.ndarray, levels: np.ndarray,
     if spec.variant is EventVariant.FINAL_ONLY:
         return stat[:, -1] >= levels[-1]
     raise AssertionError(f"unhandled variant {spec.variant}")
-
-
-def event_hits(law: IncrementLaw, increments: np.ndarray, spec: EventSpec) -> np.ndarray:
-    """Vectorized event indicators for a (paths, n) increment matrix, decided
-    as Monte Carlo decides them: by upper-step counts on a two-point law, by
-    float partial sums otherwise."""
-    if increments.ndim != 2:
-        raise ValueError(f"expected a (paths, n) matrix, got shape {increments.shape}")
-    atoms = law.atoms()
-    if atoms is None:
-        stat = np.cumsum(increments, axis=1)
-    else:
-        stat = np.cumsum(increments == atoms[0][0], axis=1, dtype=np.int32)
-    return hits_from_levels(law, stat, event_levels(law, spec, increments.shape[1]), spec)
 
 
 def exceedance_tail(law: IncrementLaw, y: float, n: int) -> tuple[float, float]:

@@ -307,8 +307,7 @@ def suite_oracle() -> SuiteReport:
         res = comp.result
         if not (res.p_final <= res.p_max + 1e-15 and res.p_max <= res.p_stopped + 1e-15):
             nesting_ok = False
-        _, _, defect = orc.first_passage_dp(lat, n, x)
-        mass_ok = mass_ok and defect <= 1e-12
+        mass_ok = mass_ok and res.defect <= 1e-12
 
         if scale > 1.0 and any(res.p_max > bound.value + orc.COMPARISON_SLACK
                                for _, bound in _range_bounds(law, x, n)):

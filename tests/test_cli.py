@@ -254,12 +254,13 @@ class TestConfigReplay:
 
 def test_pure_math_commands_do_not_import_scipy(tmp_path):
     # scipy is imported only by the Monte Carlo interval; a fresh interpreter
-    # running bounds and compare must never load it
+    # running bounds, compare and the exact oracle suite must never load it
     code = (
         "import sys\n"
         "from smbounds import cli\n"
         "assert cli.main(['bounds', '--x', '1', '--v', '1', '--n', '2']) == 0\n"
         f"assert cli.main(['compare', '--out', {str(tmp_path / 'cmp.csv')!r}]) == 0\n"
+        "assert cli.main(['verify', '--suite', 'oracle']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

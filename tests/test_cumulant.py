@@ -156,7 +156,7 @@ class TestTiltedSecondMomentCondition:
         assert cml.check_tilted_second_moment(TwoPointExtremal(0.5), (0.0, 0.5, 1.0, 2.0, 5.0))
 
     def test_degenerate_zero_law_passes(self):
-        assert cml.check_tilted_second_moment(TwoPoint(0.0, 5e-324, 0.5, 0.5, "zero"), (1.0,))
+        assert cml.check_tilted_second_moment(TwoPoint(5e-324, 0.0, 0.5, 0.5, "zero"), (1.0,))
 
     def test_wide_symmetric_law_fails(self):
         # E[xi^2 e^{3 xi}] = 4 cosh 6 ~ 806.9 > e^3 * 4 ~ 80.3

@@ -24,6 +24,13 @@ TRUNCATED = prc.EventVariant.TRUNCATED_ANY_K
 LAWS = ["extremal:0.5", "bounded:0.45", "drifted:0.5,0.1", "cexp"]
 
 
+def _mc_flags(law, inc, spec):
+    """Event flags of a (paths, n) two-point increment matrix on the route
+    Monte Carlo runs: int32 up-step counts against `event_levels`."""
+    ups = np.cumsum(inc == law.hi, axis=1, dtype=np.int32)
+    return prc.hits_from_levels(law, ups, prc.event_levels(law, spec, inc.shape[1]), spec)
+
+
 class TestClopperPearson:
     def test_edge_cases(self):
         lo, hi = mc.clopper_pearson(0, 100, 0.95)
@@ -93,7 +100,7 @@ class TestEstimateEvent:
         manual = 0
         for j, m in ((0, mc.CHUNK_SIZE), (1, 137)):
             inc = law.sample(prc.make_generator(seed, j), (m, n))
-            manual += int(prc.event_hits(law, inc, spec).sum())
+            manual += int(_mc_flags(law, inc, spec).sum())
         assert est.hits == manual
 
     def test_first_path_is_simulate_path(self):
@@ -381,7 +388,7 @@ class TestNonDyadicBoundary:
         for variant in (STOPPED, MAX, FINAL):  # the budget never binds
             spec = prc.EventSpec(self.X, self._v(n), variant)
             expected = [r[-1] if variant is FINAL else any(r) for r in reached]
-            flags = prc.event_hits(law, inc, spec)
+            flags = _mc_flags(law, inc, spec)
             assert flags.tolist() == expected
             for row, flag in zip(inc, flags):
                 path = prc.PathRecord(row, np.cumsum(row), law.second_moment() * steps, None,

@@ -8,6 +8,7 @@ import pytest
 
 from smbounds import oracle as orc
 from smbounds import processes as prc
+from smbounds import suites
 
 RADEMACHER = orc.LatticeLaw(((1.0, 0.5), (-1.0, 0.5)))
 
@@ -256,6 +257,81 @@ class TestLargeHorizon:
         absorbed_cum, _, defect = orc.first_passage_dp(law, n, 0.1 * n)
         assert defect <= 1e-12
         assert 0.0 < absorbed_cum[-1] < 1.0
+
+
+def _binomial_tail(p: float, q: float, n: int, j0: int) -> float:
+    """sum_{j >= j0} C(n, j) p^j q^(n - j) for the doubles p and q, exact in
+    integers and rounded once: C(n, j0) p^j0 q^(n - j0) times
+    1 + r_j0 (1 + r_j0+1 (1 + ... r_n-1)) with r_j = (n - j) p / ((j + 1) q)."""
+    if j0 > n:
+        return 0.0
+    fp, fq = Fraction(p), Fraction(q)
+    d = math.lcm(fp.denominator, fq.denominator)
+    a, b = fp.numerator * (d // fp.denominator), fq.numerator * (d // fq.denominator)
+    num = den = 1
+    for j in range(n - 1, j0 - 1, -1):
+        num, den = (j + 1) * b * den + (n - j) * a * num, (j + 1) * b * den
+    return math.comb(n, j0) * a**j0 * b**(n - j0) * num / (d**n * den)
+
+
+def _count_dp_calls(monkeypatch) -> list:
+    calls = []
+    real = orc.first_passage_dp
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(orc, "first_passage_dp", counted)
+    return calls
+
+
+class TestOnePass:
+    """p_final comes from the Binomial(n, p_a) tail, not a second DP pass."""
+
+    N = 2000
+
+    def _check_final_tail(self, spec, x):
+        law = orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
+        (a, pa), (b, pb) = law.atoms
+        res = orc.exact_event_probability(law, self.N, x, math.sqrt(1.1 * self.N * law.m2))
+        j_star = int(prc.count_thresholds(a, b, x, self.N)[-1])
+        exact = _binomial_tail(pa, pb, self.N, j_star)
+        assert res.p_final == pytest.approx(exact, rel=1e-12, abs=0)
+        return res.p_final
+
+    @pytest.mark.parametrize("spec", ["extremal:0.5", "bounded:0.45", "drifted:0.5,0.1"])
+    @pytest.mark.parametrize("frac", [0.05, 0.3, 0.5, 1.0])
+    def test_final_tail_is_the_exact_binomial_tail(self, spec, frac):
+        self._check_final_tail(spec, frac * self.N)
+
+    def test_final_tail_above_one_half(self):
+        assert self._check_final_tail("extremal:0.5", -10.0) > 0.5
+
+    def test_defect_is_the_pass_defect(self):
+        rng = np.random.default_rng(17)
+        for law in TestDpVsEnumeration.LAWS:
+            for n in (1, 7, 300):
+                x = float(rng.uniform(-1.0, 0.6 * n))
+                for scale in (0.5, 1.1):
+                    v = math.sqrt(scale * n * law.m2)
+                    res = orc.exact_event_probability(law, n, x, v)
+                    assert res.defect == orc.first_passage_dp(law, n, x)[2]
+            res = orc.exact_event_probability(law, 6, 1.0, 2.0, method="enumerate")
+            assert 0.0 <= res.defect <= 1e-15
+
+    @pytest.mark.parametrize("scale", [0.9, 1.1])  # the budget binds, or never does
+    def test_one_dp_call_per_answer(self, monkeypatch, scale):
+        calls = _count_dp_calls(monkeypatch)
+        law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
+        orc.exact_event_probability(law, 300, 90.0, math.sqrt(scale * 300 * law.m2))
+        assert calls == [(law, 300, 90.0)]
+
+    def test_suite_oracle_makes_one_dp_call_per_instance(self, monkeypatch):
+        # 288 corpus instances and 200 DP-vs-enumeration instances
+        calls = _count_dp_calls(monkeypatch)
+        suites.suite_oracle()
+        assert len(calls) == 488
 
 
 def test_non_dyadic_boundary_value_is_exact():

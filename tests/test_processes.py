@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from smbounds import processes as prc
@@ -51,6 +51,32 @@ class TestLawConstruction:
         with pytest.raises(ValueError, match="^delta must"):
             prc.DriftedTwoPoint(0.5, 0.6)  # delta > b
 
+    @pytest.mark.parametrize("args, field", [
+        ((math.inf, -1.0, 0.5, 0.5), "hi must be finite"),
+        ((1.0, -math.inf, 0.5, 0.5), "lo must be finite"),
+        ((1.0, -1.0, math.nan, 0.5), "p_hi must be finite"),
+        ((1.0, -1.0, 0.5, math.inf), "p_lo must be finite"),
+        ((1.0, 1.0, 0.5, 0.5), "hi must be > lo"),
+        ((-1.0, 1.0, 0.5, 0.5), "hi must be > lo"),
+        ((1.0, -1.0, 0.0, 1.0), "p_hi must be > 0"),
+        ((1.0, -1.0, 1.5, -0.5), "p_lo must be > 0"),
+        ((1.0, -1.0, 0.7, 0.7), "p_hi \\+ p_lo must be 1"),
+        ((1.0, -1.0, 0.5, 0.5 - 2e-12), "p_hi \\+ p_lo must be 1"),
+    ])
+    def test_two_point_validates_itself(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field}"):
+            prc.TwoPoint(*args, "bad")
+
+    def test_two_point_accepts_the_sum_tolerance(self):
+        prc.TwoPoint(1.0, -1.0, 0.5, 0.5 - 5e-13, "near")  # within 1e-12 of 1
+
+    def test_drifted_law_with_an_infinite_lower_atom_is_refused(self):
+        # -b - delta overflows to -inf for b = delta = 9e307
+        with pytest.raises(ValueError, match="^lo must be finite"):
+            prc.DriftedTwoPoint(9e307, 9e307)
+        with pytest.raises(ValueError, match="lo must be finite"):
+            prc.parse_law("drifted:9e307,9e307")
+
     def test_parse_law_round_trip(self):
         for law in ZOO:
             assert prc.parse_law(law.label()) == law
@@ -83,6 +109,7 @@ class TestLawConstruction:
            st.floats(min_value=0.0, max_value=1.0))
     @settings(max_examples=200)
     def test_labels_round_trip_on_finite_positive_floats(self, b, fraction):
+        assume(math.isfinite(b + b * fraction))
         for law in (prc.TwoPointExtremal(b), prc.TwoPointBounded(b),
                     prc.DriftedTwoPoint(b, b * fraction)):
             assert prc.parse_law(law.label()) == law
@@ -258,7 +285,9 @@ class TestEventHit:
         for variant in prc.EventVariant:
             y = 0.8 if variant is prc.EventVariant.TRUNCATED_ANY_K else None
             spec = prc.EventSpec(1.5, 1.9, variant, y=y)
-            flags = prc.event_hits(law, inc, spec)
+            # the Monte Carlo route: int32 up-step counts against the step levels
+            ups = np.cumsum(inc == law.hi, axis=1, dtype=np.int32)
+            flags = prc.hits_from_levels(law, ups, prc.event_levels(law, spec, inc.shape[1]), spec)
             for i in range(64):
                 steps = np.arange(1, 10, dtype=float)
                 path = prc.PathRecord(

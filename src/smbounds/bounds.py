@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Sequence
 
 __all__ = [
     "TailQuery",
@@ -117,6 +117,86 @@ def _log_add(log_a: float, *linear_terms: float) -> float:
     return out
 
 
+#: Below this |u|, h(u) = (1+u) log1p(u) - u is summed from its power series:
+#: the closed forms of F and H lose about eps/|u| of relative accuracy to
+#: cancellation there (at u = 1e-2 the loss is about 1e-14).
+_SERIES_CUTOFF = 1e-2
+
+#: Coefficients (-1)^k / ((k+1)(k+2)) of h(u) / u^2; at |u| < _SERIES_CUTOFF
+#: the first omitted term is below 3e-18 relative.
+_H_COEFFS = tuple((-1) ** k / ((k + 1) * (k + 2)) for k in range(8))
+
+
+def _h_series(u: float) -> float:
+    """h(u) / u^2 for |u| < _SERIES_CUTOFF, where h(u) = (1+u) log1p(u) - u."""
+    s = 0.0
+    for c in reversed(_H_COEFFS):
+        s = s * u + c
+    return s
+
+
+# Raw-log kernels of the core family on plain floats.  They assume validated
+# arguments (x >= 0, v > 0, n >= 1, all finite) and do not clamp; the public
+# bounds below and `core_logs` validate and clamp.
+
+
+def _hoeffding_log(x: float, v: float, n: int) -> float:
+    if x > n:
+        return -math.inf
+    v2 = v * v
+    if x == n:
+        # Distinct branch, not a limit: the general formula would produce 0*inf.
+        u = n / v2
+        if u < _SERIES_CUTOFF:
+            return -n * math.log1p(u)
+        return n * math.log(v2 / (n + v2))
+    u = x / v2
+    r = x / n
+    if x > 0.0 and u < _SERIES_CUTOFF and r < _SERIES_CUTOFF:
+        # log H = -n/(n+v^2) (v^2 h(u) + n h(-r)), with v^2 u = n r = x
+        return -n / (n + v2) * (x * (u * _h_series(u) + r * _h_series(-r)))
+    term1 = -(x + v2) * math.log1p(u)
+    if r < 1.0:
+        term2 = -(n - x) * math.log1p(-r)
+    else:
+        # x < n but x/n rounded up to 1, which needs n > 2^53; then x is a
+        # whole number and n - x is taken in exact integers (in floats it is 0)
+        d = n - int(x)
+        term2 = -d * math.log(d / n)
+    return n / (n + v2) * (term1 + term2)
+
+
+def _freedman_log(x: float, v: float) -> float:
+    v2 = v * v
+    u = x / v2
+    if x > 0.0 and u < _SERIES_CUTOFF:
+        # log F = -v^2 h(u), with v^2 u = x
+        return -(x * u) * _h_series(u)
+    return -(x + v2) * math.log1p(u) + x
+
+
+def _bennett_log(x: float, v: float) -> float:
+    if x == 0:
+        return 0.0
+    v2 = v * v
+    denom = v2 * (1.0 + math.sqrt(1.0 + 2.0 * x / (3.0 * v2))) + x / 3.0
+    return -x * x / denom
+
+
+def _bernstein_log(x: float, v: float) -> float:
+    return -x * x / (2.0 * (v * v + x / 3.0))
+
+
+def _prohorov_log(x: float, v: float) -> float:
+    return -0.5 * x * math.asinh(x / (2.0 * v * v))
+
+
+def _require_pair(x: float, v: float) -> None:
+    _require_finite(x=x, v=v)
+    if x < 0 or v <= 0:
+        raise ValueError(f"need x >= 0 and v > 0, got x={x}, v={v}")
+
+
 def hoeffding(q: TailQuery) -> LogProb:
     """Hoeffding-type bound for supermartingale differences bounded above by 1.
 
@@ -124,70 +204,35 @@ def hoeffding(q: TailQuery) -> LogProb:
     for 0 <= x < n.  At x = n the second factor is 1 by convention (the base
     diverges while the exponent vanishes), and for x > n the bound is 0.
     """
-    x, v, n = q.x, q.v, q.n
-    if x > n:
-        return LogProb(-math.inf)
-    v2 = v * v
-    if x == n:
-        # Distinct branch, not a limit: the general formula would produce 0*inf.
-        return LogProb.from_log(n * math.log(v2 / (n + v2)))
-    term1 = -(x + v2) * math.log1p(x / v2)
-    r = x / n
-    if r < 1.0:
-        term2 = -(n - x) * math.log1p(-r)
-    else:
-        # x < n but x/n rounded up to 1; fall back to the explicit ratio
-        term2 = -(n - x) * math.log((n - x) / n)
-    return LogProb.from_log(n / (n + v2) * (term1 + term2))
+    return LogProb.from_log(_hoeffding_log(q.x, q.v, q.n))
 
 
 def freedman(x: float, v: float) -> LogProb:
     """Freedman's bound F(x,v) = (v^2/(x+v^2))^(x+v^2) * e^x."""
-    _require_finite(x=x, v=v)
-    if x < 0 or v <= 0:
-        raise ValueError(f"need x >= 0 and v > 0, got x={x}, v={v}")
-    v2 = v * v
-    return LogProb.from_log(-(x + v2) * math.log1p(x / v2) + x)
+    _require_pair(x, v)
+    return LogProb.from_log(_freedman_log(x, v))
 
 
 def bennett(x: float, v: float) -> LogProb:
     """Bennett's bound exp{-x^2 / (v^2 (1 + sqrt(1 + 2x/(3v^2))) + x/3)}."""
-    _require_finite(x=x, v=v)
-    if x < 0 or v <= 0:
-        raise ValueError(f"need x >= 0 and v > 0, got x={x}, v={v}")
-    if x == 0:
-        return LogProb(0.0)
-    v2 = v * v
-    denom = v2 * (1.0 + math.sqrt(1.0 + 2.0 * x / (3.0 * v2))) + x / 3.0
-    return LogProb.from_log(-x * x / denom)
+    _require_pair(x, v)
+    return LogProb.from_log(_bennett_log(x, v))
 
 
 def bernstein(x: float, v: float) -> LogProb:
     """Bernstein's bound exp{-x^2 / (2 (v^2 + x/3))}."""
-    _require_finite(x=x, v=v)
-    if x < 0 or v <= 0:
-        raise ValueError(f"need x >= 0 and v > 0, got x={x}, v={v}")
-    return LogProb.from_log(-x * x / (2.0 * (v * v + x / 3.0)))
+    _require_pair(x, v)
+    return LogProb.from_log(_bernstein_log(x, v))
 
 
 def prohorov(x: float, v: float) -> LogProb:
     """Prohorov's bound exp{-(x/2) arcsinh(x / (2v^2))}."""
-    _require_finite(x=x, v=v)
-    if x < 0 or v <= 0:
-        raise ValueError(f"need x >= 0 and v > 0, got x={x}, v={v}")
-    return LogProb.from_log(-0.5 * x * math.asinh(x / (2.0 * v * v)))
+    _require_pair(x, v)
+    return LogProb.from_log(_prohorov_log(x, v))
 
 
-#: The core family in chain order, as (name, query -> LogProb).  Each entry
-#: looks its bound up by name at call time, so a replaced module attribute
-#: is the one evaluated.
-CORE: tuple[tuple[str, Callable[[TailQuery], LogProb]], ...] = (
-    ("hoeffding", lambda q: hoeffding(q)),
-    ("freedman", lambda q: freedman(q.x, q.v)),
-    ("bennett", lambda q: bennett(q.x, q.v)),
-    ("bernstein", lambda q: bernstein(q.x, q.v)),
-    ("prohorov", lambda q: prohorov(q.x, q.v)),
-)
+#: Names of the core family in chain order, the order of `core_logs`.
+CORE = ("hoeffding", "freedman", "bennett", "bernstein", "prohorov")
 
 #: Edges (lower, upper) of the ordering chain: log lower <= log upper.
 ORDERING = (("hoeffding", "freedman"), ("freedman", "bennett"),
@@ -196,15 +241,32 @@ ORDERING = (("hoeffding", "freedman"), ("freedman", "bennett"),
 #: Round-off slack allowed on each ordering edge, in log space.
 ORDER_SLACK = 1e-10
 
+_ORDER_INDEX = tuple((CORE.index(lo), CORE.index(hi)) for lo, hi in ORDERING)
+
+
+def core_logs(q: TailQuery) -> tuple[float, float, float, float, float]:
+    """The core family's clamped log values at one query, in `CORE` order.
+
+    The kernels are looked up as module attributes at call time, so a
+    replaced kernel is the one every caller evaluates.
+    """
+    x, v = q.x, q.v
+    logs = (min(_hoeffding_log(x, v, q.n), 0.0), min(_freedman_log(x, v), 0.0),
+            min(_bennett_log(x, v), 0.0), min(_bernstein_log(x, v), 0.0),
+            min(_prohorov_log(x, v), 0.0))
+    if math.isnan(sum(logs)):
+        raise ValueError("log probability is NaN")
+    return logs
+
 
 def core_bounds(q: TailQuery) -> list[tuple[str, LogProb]]:
     """The core family evaluated at one query, in `CORE` order."""
-    return [(name, bound(q)) for name, bound in CORE]
+    return [(name, LogProb(lv)) for name, lv in zip(CORE, core_logs(q))]
 
 
-def ordering_ok(logs: Mapping[str, float]) -> bool:
-    """Whether log values keyed by core bound name satisfy every `ORDERING` edge."""
-    return all(logs[lo] <= logs[hi] + ORDER_SLACK for lo, hi in ORDERING)
+def ordering_ok(logs: Sequence[float]) -> bool:
+    """Whether core log values in `CORE` order satisfy every `ORDERING` edge."""
+    return all(logs[lo] <= logs[hi] + ORDER_SLACK for lo, hi in _ORDER_INDEX)
 
 
 def azuma_denominator(x: float, n: int, b: float) -> tuple[float, str]:

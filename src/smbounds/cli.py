@@ -264,25 +264,39 @@ def _parse_grid_file(path: str) -> list[bnd.TailQuery]:
     return [bnd.TailQuery(x, v, n) for n in ns for v in vs for x in xs]
 
 
+def _compare_csv(points: list[tuple[bnd.TailQuery, tuple[float, ...], str]]) -> str:
+    """`_csv_text` of compare's rows, with the cells shared by a point's five
+    rows (x, v, n and the empty b/y cells; the empty tail cells and the
+    verdict) formatted once per point."""
+    exp = math.exp
+    lines = [",".join(CSV_COLUMNS)]
+    for q, logs, verdict in points:
+        head = f"{fmt(q.x)},{fmt(q.v)},{fmt(q.n)},,,"
+        tail = f",,,,,{verdict},"
+        lines += [f"{head}{name},{lv:.17g},{exp(lv):.17g}{tail}"
+                  for name, lv in zip(bnd.CORE, logs)]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_compare(p: dict[str, Any]) -> int:
     grid = _parse_grid_file(p["grid"]) if p["grid"] else bnd.default_grid()
-    rows = []
+    points = []
     failures = 0
     for q in grid:
-        logs = {name: bound.log_value for name, bound in bnd.core_bounds(q)}
+        logs = bnd.core_logs(q)
         ok = bnd.ordering_ok(logs)
         if not ok:
             failures += 1
-        verdict = "PASS" if ok else "FAIL"
-        for name, lv in logs.items():
-            rows.append(dict(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=lv,
-                             value=math.exp(lv), verdict=verdict))
+        points.append((q, logs, "PASS" if ok else "FAIL"))
     if p["format"] == "json":
+        rows = [dict(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=lv,
+                     value=math.exp(lv), verdict=verdict)
+                for q, logs, verdict in points for name, lv in zip(bnd.CORE, logs)]
         doc = {"command": "compare", "points": len(grid), "ordering_failures": failures,
                "rows": rows}
         _emit(_json_text(doc), p["out"])
     else:
-        _emit(_csv_text(rows), p["out"])
+        _emit(_compare_csv(points), p["out"])
     if failures:
         sys.stderr.write(f"compare: ordering failed at {failures} grid points\n")
         return EXIT_FAIL

@@ -177,14 +177,17 @@ def check_tilted_second_moment(law, lambdas: Sequence[float]) -> bool:
     slack) for every lam in the grid.
 
     Both moments come from the law: exact from the atoms of a two-point law,
-    and from the closed form for the centered exponential.
+    and from the closed form for the centered exponential.  The inequality is
+    decided in log space, so no lam overflows.
     """
     lams = list(lambdas)
     if not lams:
         raise ValueError("lambda grid must be non-empty")
+    m2 = law.second_moment()
+    log_rhs = (math.log(m2) if m2 > 0 else -math.inf) + math.log1p(1e-12)
     for lam in lams:
         if not (math.isfinite(lam) and lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
-        if law.tilted_second_moment(lam) > math.exp(lam) * law.second_moment() * (1.0 + 1e-12):
+        if law.log_tilted_second_moment(lam) > lam + log_rhs:
             return False
     return True

@@ -102,7 +102,13 @@ class TwoPoint:
 
     def tilted_second_moment(self, lam: float) -> float:
         """E[xi^2 e^{lam*xi}], exact from the atoms."""
-        return sum(v * v * p * math.exp(lam * v) for v, p in self.atoms())
+        return math.exp(self.log_tilted_second_moment(lam))
+
+    def log_tilted_second_moment(self, lam: float) -> float:
+        """log E[xi^2 e^{lam*xi}], with e^{lam*hi} factored out so that no
+        exponential overflows at large lam; -inf when both atoms square to 0."""
+        s = sum(v * v * p * math.exp(lam * (v - self.hi)) for v, p in self.atoms())
+        return lam * self.hi + math.log(s) if s > 0 else -math.inf
 
     @property
     def support_max(self) -> float:
@@ -185,12 +191,17 @@ class CenteredExponential:
         return math.inf
 
     def tilted_second_moment(self, lam: float) -> float:
-        """E[xi^2 e^{lam*xi}] = e^{-lam} (2/mu^3 - 2/mu^2 + 1/mu) at mu = 1 - lam,
-        the integral of (z - 1)^2 e^{-mu*z} over z >= 0; infinite for lam >= 1."""
+        """E[xi^2 e^{lam*xi}]; infinite for lam >= 1."""
+        return math.exp(self.log_tilted_second_moment(lam))
+
+    def log_tilted_second_moment(self, lam: float) -> float:
+        """log E[xi^2 e^{lam*xi}] = -lam + log(2/mu^3 - 2/mu^2 + 1/mu) at
+        mu = 1 - lam, from the integral of (z - 1)^2 e^{-mu*z} over z >= 0;
+        infinite for lam >= 1."""
         if lam >= 1.0:
             return math.inf
         mu = 1.0 - lam
-        return math.exp(-lam) * (2.0 / mu**3 - 2.0 / mu**2 + 1.0 / mu)
+        return -lam + math.log(2.0 / mu**3 - 2.0 / mu**2 + 1.0 / mu)
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
         return rng.standard_exponential(shape) - 1.0

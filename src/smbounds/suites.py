@@ -154,8 +154,8 @@ def suite_chain() -> SuiteReport:
     clamp_ok = True
     for q in chain_grid():
         count += 1
-        logs = {name: bound.log_value for name, bound in bnd.core_bounds(q)}
-        clamp_ok = clamp_ok and max(logs.values()) <= 0.0
+        logs = bnd.core_logs(q)
+        clamp_ok = clamp_ok and max(logs) <= 0.0
         if not bnd.ordering_ok(logs):
             violations += 1
             if not first:

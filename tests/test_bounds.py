@@ -272,6 +272,93 @@ def test_default_grid_covers_boundary_points():
     assert {q.n for q in grid} == set(bnd.GRID_N)
 
 
+class TestCancellationRegime:
+    """Log values of F and H against 50-digit evaluations of their displayed
+    formulas, down to x/v^2 = 1e-16 where the closed forms cancel."""
+
+    REL = 1e-12
+    EXPONENTS = range(-16, 2)
+
+    @staticmethod
+    def _refs(mpmath):
+        def log_f(x, v):
+            x, v2 = mpmath.mpf(x), mpmath.mpf(v) ** 2
+            return -(x + v2) * mpmath.log1p(x / v2) + x
+
+        def log_h(x, v, n):
+            x, v2, n = mpmath.mpf(x), mpmath.mpf(v) ** 2, mpmath.mpf(n)
+            if x == n:
+                return n * mpmath.log(v2 / (n + v2))
+            return n / (n + v2) * (-(x + v2) * mpmath.log1p(x / v2)
+                                   - (n - x) * mpmath.log1p(-x / n))
+
+        return log_f, log_h
+
+    def test_freedman(self):
+        mpmath = pytest.importorskip("mpmath")
+        log_f, _ = self._refs(mpmath)
+        with mpmath.workdps(50):
+            for e in self.EXPONENTS:
+                for m in (1.0, 3.7):
+                    for v in (0.05, 1.0, 30.0, 3e4):
+                        x = m * 10.0**e * v * v
+                        want = float(log_f(x, v))
+                        assert bnd.freedman(x, v).log_value == pytest.approx(
+                            want, rel=self.REL, abs=0), (x, v)
+
+    def test_freedman_at_the_known_cell(self):
+        # the closed form returned 0.0 here; the reference is -9.34e-29
+        assert bnd.freedman(4.1e-10, 3e4).log_value == pytest.approx(
+            -9.3388888888888889e-29, rel=1e-12, abs=0)
+
+    def test_hoeffding(self):
+        mpmath = pytest.importorskip("mpmath")
+        _, log_h = self._refs(mpmath)
+        with mpmath.workdps(50):
+            for n in (1, 7, 1000, 10**6):
+                for er in self.EXPONENTS:
+                    r = 0.93 * 10.0**er
+                    if r >= 1.0:
+                        continue
+                    x = r * n
+                    for eu in self.EXPONENTS:
+                        v = math.sqrt(x / (1.7 * 10.0**eu))
+                        want = float(log_h(x, v, n))
+                        got = bnd.hoeffding(bnd.TailQuery(x, v, n)).log_value
+                        assert got == pytest.approx(want, rel=self.REL, abs=0), (x, v, n)
+
+    def test_hoeffding_at_x_equals_n(self):
+        # log(v^2/(n+v^2)) loses eps/(n/v^2) when v^2 >> n
+        mpmath = pytest.importorskip("mpmath")
+        _, log_h = self._refs(mpmath)
+        with mpmath.workdps(50):
+            for n in (1, 5, 100, 10**6):
+                for eu in self.EXPONENTS:
+                    v = math.sqrt(n / (1.3 * 10.0**eu))
+                    want = float(log_h(float(n), v, n))
+                    got = bnd.hoeffding(bnd.TailQuery(float(n), v, n)).log_value
+                    assert got == pytest.approx(want, rel=self.REL, abs=0), (n, v)
+
+    def test_hoeffding_at_the_known_cell(self):
+        mpmath = pytest.importorskip("mpmath")
+        _, log_h = self._refs(mpmath)
+        with mpmath.workdps(50):
+            want = float(log_h(7.8e-12, 1.0, 10**6))
+        assert bnd.hoeffding(bnd.TailQuery(7.8e-12, 1.0, 10**6)).log_value == pytest.approx(
+            want, rel=self.REL, abs=0)
+
+    def test_hoeffding_where_x_over_n_rounds_to_one(self):
+        # n > 2^53: x < n, but x/n is 1.0 and n - x is 0.0 in floats
+        mpmath = pytest.importorskip("mpmath")
+        _, log_h = self._refs(mpmath)
+        x, n = 2.0**53, 2**53 + 1
+        assert x < n and x / n == 1.0
+        with mpmath.workdps(50):
+            want = float(log_h(x, 0.5, n))
+        assert bnd.hoeffding(bnd.TailQuery(x, 0.5, n)).log_value == pytest.approx(
+            want, rel=self.REL, abs=0)
+
+
 class TestRegistry:
     Q = bnd.TailQuery(1.0, 1.0, 2)
 
@@ -287,19 +374,24 @@ class TestRegistry:
             assert logs[name] == getattr(bnd, name)(1.0, 1.0)
 
     def test_registry_resolves_bounds_at_call_time(self, monkeypatch):
-        monkeypatch.setattr(bnd, "bennett", lambda x, v: bnd.LogProb(-7.0))
+        monkeypatch.setattr(bnd, "_bennett_log", lambda x, v: -7.0)
         assert dict(bnd.core_bounds(self.Q))["bennett"].log_value == -7.0
 
     def test_ordering_ok(self):
-        logs = {name: b.log_value for name, b in bnd.core_bounds(self.Q)}
+        logs = bnd.core_logs(self.Q)
         assert bnd.ordering_ok(logs)
+        index = {name: i for i, name in enumerate(bnd.CORE)}
         for lower, upper in bnd.ORDERING:
-            broken = dict(logs, **{lower: logs[upper] + 2 * bnd.ORDER_SLACK})
+            broken = list(logs)
+            broken[index[lower]] = logs[index[upper]] + 2 * bnd.ORDER_SLACK
             assert not bnd.ordering_ok(broken)
         # within the slack is not a violation
-        assert bnd.ordering_ok(dict(logs, hoeffding=logs["freedman"] + bnd.ORDER_SLACK / 2))
+        within = list(logs)
+        within[index["hoeffding"]] = logs[index["freedman"]] + bnd.ORDER_SLACK / 2
+        assert bnd.ordering_ok(within)
 
     def test_all_lists_bounds_and_types_only(self):
         # bench/tracing.py wraps every function in __all__ as a bound call
-        for name in ("CORE", "ORDERING", "ORDER_SLACK", "core_bounds", "ordering_ok"):
+        for name in ("CORE", "ORDERING", "ORDER_SLACK", "core_bounds", "core_logs",
+                     "ordering_ok"):
             assert name not in bnd.__all__

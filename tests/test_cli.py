@@ -112,11 +112,11 @@ class TestCompareCommand:
         assert float(h[7]) == pytest.approx(2 ** (-2 / 3), rel=1e-12)
 
     def test_broken_chain_exits_1(self, tmp_path, capsys, monkeypatch):
-        # a bennett bound below freedman's breaks the chain at every grid
-        # point; compare and the chain suite read it through the registry
+        # a bennett kernel below freedman's breaks the chain at every grid
+        # point; compare and the chain suite read it through core_logs
         from smbounds import bounds as bnd
 
-        monkeypatch.setattr(bnd, "bennett", lambda x, v: bnd.LogProb(-1e3))
+        monkeypatch.setattr(bnd, "_bennett_log", lambda x, v: -1e3)
         out_file = tmp_path / "cmp.csv"
         code, _, err = run(["compare", "--out", str(out_file)], capsys)
         assert code == 1
@@ -126,6 +126,40 @@ class TestCompareCommand:
         code, out, _ = run(["verify", "--suite", "chain"], capsys)
         assert code == 1
         assert "[chain] FAIL ordering chain" in out
+
+    def test_rows_match_the_dict_rows_of_core_bounds(self, tmp_path, capsys):
+        # compare writes its CSV from one formatted prefix per point; the bytes
+        # must equal _csv_text over dict rows built from core_bounds, at x = 0
+        # (the -0 bernstein and prohorov cells), x = n, x > n (-inf and 0),
+        # x/n rounding to 1 (n > 2^53) and tiny x/v^2
+        from smbounds import bounds as bnd
+
+        grid = tmp_path / "grid.cfg"
+        grid.write_text("x = 0, 1e-10, 0.5, 2, 9007199254740992\n"
+                        "v = 0.5, 30000\n"
+                        "n = 2, 9007199254740993\n")
+        queries = cli._parse_grid_file(str(grid))
+        assert any(q.x < q.n and q.x / q.n == 1.0 for q in queries)
+        rows, failures = [], 0
+        for q in queries:
+            pairs = bnd.core_bounds(q)
+            ok = bnd.ordering_ok([b.log_value for _, b in pairs])
+            failures += not ok
+            rows += [dict(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=b.log_value,
+                          value=math.exp(b.log_value), verdict="PASS" if ok else "FAIL")
+                     for name, b in pairs]
+        cells = {(r["bound_name"], cli.fmt(r["log_value"])) for r in rows}
+        assert {("bernstein", "-0"), ("prohorov", "-0"), ("hoeffding", "-inf")} <= cells
+
+        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
+        code, _, _ = run(["compare", "--grid", str(grid), "--out", str(out_csv)], capsys)
+        assert code == (1 if failures else 0)
+        assert out_csv.read_text() == cli._csv_text(rows)
+        run(["compare", "--grid", str(grid), "--format", "json", "--out", str(out_json)],
+            capsys)
+        doc = {"command": "compare", "points": len(queries), "ordering_failures": failures,
+               "rows": rows}
+        assert out_json.read_text() == cli._json_text(doc)
 
     def test_bad_grid_file(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"

@@ -181,6 +181,17 @@ class TestTiltedSecondMomentCondition:
     def test_centered_exponential_fails_even_below_one(self):
         assert not cml.check_tilted_second_moment(CenteredExponential(), (0.5,))
 
+    def test_large_lambda_decided_in_log_space(self):
+        # e^{800} overflows a double; the check must still answer
+        assert cml.check_tilted_second_moment(TwoPointExtremal(0.5), (800.0,))
+        assert not cml.check_tilted_second_moment(CenteredExponential(), (800.0,))
+        assert not cml.check_tilted_second_moment(TwoPoint(2.0, -2.0, 0.5, 0.5, "wide"),
+                                                  (800.0,))
+        # E[xi^2 e^{lam xi}] = p_hi e^{lam} + s2^2 p_lo e^{-lam s2} at s2 = 0.5
+        want = 800.0 + math.log(1.0 / 3.0 + 0.25 * (2.0 / 3.0) * math.exp(-1200.0))
+        assert TwoPointExtremal(0.5).log_tilted_second_moment(800.0) == pytest.approx(
+            want, rel=1e-15)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             cml.check_tilted_second_moment(TwoPointExtremal(1.0), ())

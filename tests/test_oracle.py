@@ -73,7 +73,7 @@ class TestExactEventProbability:
             v = math.sqrt(n * s2 * 1.0000001)
             res = orc.exact_event_probability(lat, n, float(n), v)
             want = (s2 / (1 + s2)) ** n
-            assert res.p_stopped == pytest.approx(want, rel=1e-12)
+            assert res.p_stopped == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_x_beyond_n_impossible_for_bounded_laws(self):
         res = orc.exact_event_probability(RADEMACHER, 4, 5.0, 10.0)
@@ -236,14 +236,14 @@ class TestLargeHorizon:
             RADEMACHER, self.N, float(m), math.sqrt(self.N * 1.0000001))
         final = _rademacher_tail(self.N, m)
         assert res.p_stopped == pytest.approx(final + _rademacher_tail(self.N, m + 1),
-                                              rel=1e-12)
-        assert res.p_final == pytest.approx(final, rel=1e-12)
+                                              rel=1e-12, abs=0)
+        assert res.p_final == pytest.approx(final, rel=1e-12, abs=0)
 
     def test_extremal_all_ones_path(self):
         n = 1000
         law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(1.0))
         res = orc.exact_event_probability(law, n, float(n), math.sqrt(n * 1.0000001))
-        assert res.p_stopped == pytest.approx(2.0**-n, rel=1e-12)
+        assert res.p_stopped == pytest.approx(2.0**-n, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("spec", ["bounded:0.45", "drifted:0.5,0.1"])
     def test_mass_conservation_off_lattice(self, spec):
@@ -362,7 +362,7 @@ class TestExactVsBound:
         law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(s2))
         comp = orc.exact_vs_bound(law, n, float(n), math.sqrt(n * s2 * 1.0000001))
         assert comp.valid
-        assert comp.result.p_stopped == pytest.approx(2.0**-10, rel=1e-12)
+        assert comp.result.p_stopped == pytest.approx(2.0**-10, rel=1e-12, abs=0)
 
     def test_consistent_indicator_beyond_horizon(self):
         law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(1.0))

@@ -346,7 +346,11 @@ def bennett_classic(t: float, sigma2: float, n: int) -> LogProb:
     _require_finite(t=t, sigma2=sigma2)
     if t < 0 or sigma2 <= 0 or n < 1:
         raise ValueError(f"need t >= 0, sigma2 > 0, n >= 1, got t={t}, sigma2={sigma2}, n={n}")
-    return LogProb.from_log(n * (-(t + sigma2) * math.log1p(t / sigma2) + t))
+    u = t / sigma2
+    if t > 0.0 and u < _SERIES_CUTOFF:
+        # per step -sigma^2 h(u), with sigma^2 u = t
+        return LogProb.from_log(-n * t * u * _h_series(u))
+    return LogProb.from_log(n * (-(t + sigma2) * math.log1p(u) + t))
 
 
 def hoeffding_independent(t: float, sigma2: float, n: int) -> LogProb:
@@ -359,7 +363,11 @@ def hoeffding_independent(t: float, sigma2: float, n: int) -> LogProb:
     if sigma2 <= 0 or n < 1:
         raise ValueError(f"need sigma2 > 0 and n >= 1, got sigma2={sigma2}, n={n}")
     scale = 1.0 + sigma2
-    log_per_step = -(t + sigma2) / scale * math.log1p(t / sigma2) - (1.0 - t) / scale * math.log1p(-t)
+    u = t / sigma2
+    if t > 0.0 and u < _SERIES_CUTOFF and t < _SERIES_CUTOFF:
+        # per step -(sigma^2 h(u) + h(-t)) / (1 + sigma^2), with sigma^2 u = t
+        return LogProb.from_log(-n * t * (u * _h_series(u) + t * _h_series(-t)) / scale)
+    log_per_step = -(t + sigma2) / scale * math.log1p(u) - (1.0 - t) / scale * math.log1p(-t)
     return LogProb.from_log(n * log_per_step)
 
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 invariant/verification failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -32,13 +33,6 @@ CSV_COLUMNS = [
     "x", "v", "n", "b", "y", "bound_name", "log_value", "value", "branch",
     "p_hat", "ci_low", "ci_high", "verdict", "seed",
 ]
-
-EVENT_NAMES = {
-    "stopped": EventVariant.STOPPED_ANY_K,
-    "max": EventVariant.MAX_WITH_FINAL_QC,
-    "final": EventVariant.FINAL_ONLY,
-    "truncated": EventVariant.TRUNCATED_ANY_K,
-}
 
 
 def fmt(value: Any) -> str:
@@ -310,9 +304,11 @@ def cmd_compare(p: dict[str, Any]) -> int:
 
 def cmd_simulate(p: dict[str, Any]) -> int:
     law = parse_law(p["law"])
-    if p["event"] not in EVENT_NAMES:
-        raise ValueError(f"unknown event {p['event']!r}; choose from {sorted(EVENT_NAMES)}")
-    variant = EVENT_NAMES[p["event"]]
+    try:
+        variant = EventVariant(p["event"])
+    except ValueError:
+        names = sorted(v.value for v in EventVariant)
+        raise ValueError(f"unknown event {p['event']!r}; choose from {names}") from None
     y = p["y"] if variant is EventVariant.TRUNCATED_ANY_K else None
     spec = EventSpec(p["x"], p["v"], variant, y=y)
     est = mc.estimate_event(law, spec, p["n"], p["trials"], p["seed"], p["gamma"])
@@ -388,7 +384,10 @@ def cmd_verify(p: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged, so every `main` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="smbounds",
         description="Tail bounds for supermartingales: closed forms, exact "

@@ -22,12 +22,13 @@ the units not yet started are cancelled and the failure reaches the caller.
 A worker draws its range in row blocks of about BLOCK_ELEMS steps.  The
 generator fills rows in order, so the blocks concatenate to the range drawn at
 once, and hit counts do not depend on the block size.  Each block's running
-statistic is taken once and every event is tested on it, so memory is
-O(workers x block) for any n and number of trials.  On a two-point law {a > b}
-the statistic is the int32 count of a-steps, from the same uniforms the law's
-`sample` maps to atoms, compared with the exact thresholds j*_k of
-`processes.count_thresholds` (the oracle's states and thresholds), so no float
-sum decides a path that lands on x; other laws sum float increments in place.
+statistic is taken once and every event is tested on it against the steps and
+levels `event_test` fixed for the call, so memory is O(workers x block) for
+any n and number of trials.  On a two-point law {a > b} the statistic is the
+int32 count of a-steps, from the same uniforms the law's `sample` maps to
+atoms, compared with the exact thresholds j*_k of `processes.count_thresholds`
+(the oracle's states and thresholds), so no float sum decides a path that
+lands on x; other laws sum float increments in place.
 """
 
 from __future__ import annotations
@@ -43,10 +44,9 @@ from .processes import (
     EventSpec,
     EventVariant,
     IncrementLaw,
-    event_levels,
-    hits_from_levels,
+    budget_steps,
+    count_thresholds,
     make_generator,
-    sample_statistic,
 )
 
 __all__ = [
@@ -132,6 +132,41 @@ class NestedEstimates:
     nesting_ok: bool  # final => max => stopped held on every path
 
 
+def sample_statistic(law: IncrementLaw, rng: np.random.Generator, shape) -> np.ndarray:
+    """The running statistic of `shape` = (paths, n) freshly drawn paths that
+    `event_test` applies to: on a two-point law the int32 count of
+    upper-atom steps, taken from the same uniforms `sample` maps to the atoms
+    (so the same paths); otherwise the float partial sums, summed in place."""
+    atoms = law.atoms()
+    if atoms is None:
+        block = law.sample(rng, shape)
+        return np.cumsum(block, axis=1, out=block)
+    return np.cumsum(rng.random(shape) < atoms[0][1], axis=1, dtype=np.int32)
+
+
+def event_test(law: IncrementLaw, spec: EventSpec, n: int) -> tuple[slice, np.ndarray]:
+    """The steps that decide `spec` on n-step paths of `law`, and the levels
+    the running statistic must reach there: a path hits when
+    `stat[steps] >= levels` at one of them.  The variance processes of IID
+    laws are deterministic, so the budget holds on the same leading
+    `budget_steps` steps of every path.  The levels are j*_k of
+    `count_thresholds` on a two-point law, x otherwise."""
+    truncated = spec.variant is EventVariant.TRUNCATED_ANY_K
+    per_step = law.truncated_second_moment(spec.y) if truncated else law.second_moment()
+    k_max = budget_steps(per_step, n, spec.v)
+    if truncated or spec.variant is EventVariant.STOPPED_ANY_K:
+        steps = slice(k_max)
+    elif k_max < n:  # the max and final events need the whole horizon in budget
+        steps = slice(0)
+    else:
+        steps = slice(n - 1 if spec.variant is EventVariant.FINAL_ONLY else 0, n)
+    atoms = law.atoms()
+    if atoms is None:
+        return steps, np.full(n, spec.x)[steps]
+    (a, _), (b, _) = atoms
+    return steps, count_thresholds(a, b, spec.x, n)[1:][steps].astype(np.int32)
+
+
 def _workers() -> int:
     """Threads for one count: the CPUs this process may run on, at most
     MAX_WORKERS."""
@@ -168,18 +203,18 @@ def _unit_generator(seed: int, chunk: int, first: int, n: int) -> np.random.Gene
 
 
 def _unit_hits(
-    law: IncrementLaw, specs: Sequence[EventSpec], levels: list[np.ndarray], n: int,
-    seed: int, unit: tuple[int, int, int],
+    law: IncrementLaw, tests: Sequence[tuple[slice, np.ndarray]], n: int, seed: int,
+    unit: tuple[int, int, int],
 ) -> tuple[list[int], bool]:
     """Hit counts and the nesting flag of one work unit."""
     chunk, first, end = unit
     rng = _unit_generator(seed, chunk, first, n)
     rows = max(1, BLOCK_ELEMS // n)
-    counts = [0] * len(specs)
+    counts = [0] * len(tests)
     nesting_ok = True
     for done in range(first, end, rows):
         stat = sample_statistic(law, rng, (min(rows, end - done), n))
-        flags = [hits_from_levels(law, stat, lv, spec) for lv, spec in zip(levels, specs)]
+        flags = [np.any(stat[:, steps] >= levels, axis=1) for steps, levels in tests]
         for i, hit in enumerate(flags):
             counts[i] += int(np.count_nonzero(hit))
         nesting_ok = nesting_ok and all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))
@@ -199,10 +234,10 @@ def _count_hits(
         raise ValueError(f"n must be >= 1, got {n}")
     from concurrent.futures import ThreadPoolExecutor  # kept off the import path
 
-    levels = [event_levels(law, spec, n) for spec in specs]
+    tests = [event_test(law, spec, n) for spec in specs]
     workers = _workers()
     with ThreadPoolExecutor(workers) as pool:
-        per_unit = list(pool.map(lambda unit: _unit_hits(law, specs, levels, n, seed, unit),
+        per_unit = list(pool.map(lambda unit: _unit_hits(law, tests, n, seed, unit),
                                  _units(law, trials, workers)))
     unit_counts, unit_flags = zip(*per_unit)
     return [sum(column) for column in zip(*unit_counts)], all(unit_flags)

@@ -1,5 +1,5 @@
-"""One-step increment laws with known conditional moments, path simulation,
-and the deviation events evaluated along simulated paths.
+"""One-step increment laws with known conditional moments, the deviation
+events, and a single simulated path with its exact event indicator.
 
 Every finite law is a `TwoPoint`: the extremal law on {1, -b}, which attains
 the two-point MGF bound, shifted down by a drift delta in [0, b].
@@ -8,7 +8,8 @@ their CLI labels; `CenteredExponential` is the one law unbounded above.
 
 All laws are IID per path, so the quadratic characteristic and the truncated
 variance are deterministic multiples of the step count; every event is then
-exactly decidable from the realized partial sums alone.
+exactly decidable from the realized partial sums alone.  `montecarlo` draws
+and tests many paths with the `budget_steps` and `count_thresholds` used here.
 """
 
 from __future__ import annotations
@@ -342,10 +343,10 @@ def event_hit(path: PathRecord, spec: EventSpec) -> bool:
 
     The partial sums are compared with x in exact rational arithmetic on the
     stored increments, which on a two-point law decides every path as the
-    step-count test of Monte Carlo (`event_levels`, `hits_from_levels`)
-    does.  The k-wise variants require both conditions at the same k; the
-    budget condition holds on the leading `budget_steps` steps, and the
-    threshold comparison is inclusive.
+    step-count test of Monte Carlo (`montecarlo.event_test`) does.  The
+    k-wise variants require both conditions at the same k; the budget
+    condition holds on the leading `budget_steps` steps, and the threshold
+    comparison is inclusive.
     """
     n, variance = len(path), path.qc
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
@@ -363,57 +364,6 @@ def event_hit(path: PathRecord, spec: EventSpec) -> bool:
         return any(reached)
     if spec.variant is EventVariant.FINAL_ONLY:
         return reached[-1]
-    raise AssertionError(f"unhandled variant {spec.variant}")
-
-
-def event_levels(law: IncrementLaw, spec: EventSpec, n: int) -> np.ndarray:
-    """The level the running statistic of a path must reach at steps k = 1..n.
-
-    On a two-point law the statistic is the count of upper-atom steps and the
-    level is j*_k of `count_thresholds`; otherwise the statistic is the float
-    partial sum and the level is x at every step (one entry, broadcast).
-    """
-    atoms = law.atoms()
-    if atoms is None:
-        return np.array([spec.x])
-    (a, _), (b, _) = atoms
-    return count_thresholds(a, b, spec.x, n)[1:].astype(np.int32)
-
-
-def sample_statistic(law: IncrementLaw, rng: np.random.Generator, shape) -> np.ndarray:
-    """The running statistic of `shape` = (paths, n) freshly drawn paths that
-    `event_levels` applies to: on a two-point law the int32 count of
-    upper-atom steps, taken from the same uniforms `sample` maps to the atoms
-    (so the same paths); otherwise the float partial sums, summed in place."""
-    atoms = law.atoms()
-    if atoms is None:
-        block = law.sample(rng, shape)
-        return np.cumsum(block, axis=1, out=block)
-    return np.cumsum(rng.random(shape) < atoms[0][1], axis=1, dtype=np.int32)
-
-
-def hits_from_levels(law: IncrementLaw, stat: np.ndarray, levels: np.ndarray,
-                     spec: EventSpec) -> np.ndarray:
-    """Event indicators for a (paths, n) running statistic against its
-    per-step `event_levels`.
-
-    The variance processes are deterministic for IID laws, so the per-k budget
-    condition holds on the same leading steps k <= k_max of every path, and
-    the k-wise variants scan only those columns.
-    """
-    n = stat.shape[1]
-    if spec.variant is EventVariant.TRUNCATED_ANY_K:
-        k_max = budget_steps(law.truncated_second_moment(spec.y), n, spec.v)
-        return np.any(stat[:, :k_max] >= levels[:k_max], axis=1)
-    k_max = budget_steps(law.second_moment(), n, spec.v)
-    if spec.variant is EventVariant.STOPPED_ANY_K:
-        return np.any(stat[:, :k_max] >= levels[:k_max], axis=1)
-    if k_max < n:  # the max and final events need the whole horizon in budget
-        return np.zeros(stat.shape[0], dtype=bool)
-    if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
-        return np.any(stat >= levels, axis=1)
-    if spec.variant is EventVariant.FINAL_ONLY:
-        return stat[:, -1] >= levels[-1]
     raise AssertionError(f"unhandled variant {spec.variant}")
 
 

@@ -211,6 +211,13 @@ class TestSimulateCommand:
                             "--n", "2"], capsys)
         assert code == 2 and "law" in err
 
+    def test_unknown_event_is_usage_error(self, capsys):
+        code, _, err = run(["simulate", "--law", "cexp", "--event", "x", "--x", "1",
+                            "--v", "1", "--n", "2"], capsys)
+        assert code == 2
+        assert err == ("smbounds simulate: unknown event 'x'; "
+                       "choose from ['final', 'max', 'stopped', 'truncated']\n")
+
     def test_truncated_without_y_is_usage_error(self, capsys):
         code, _, _ = run(["simulate", "--law", "cexp", "--event", "truncated",
                           "--x", "1", "--v", "1", "--n", "2"], capsys)

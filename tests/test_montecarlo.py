@@ -26,9 +26,10 @@ LAWS = ["extremal:0.5", "bounded:0.45", "drifted:0.5,0.1", "cexp"]
 
 def _mc_flags(law, inc, spec):
     """Event flags of a (paths, n) two-point increment matrix on the route
-    Monte Carlo runs: int32 up-step counts against `event_levels`."""
+    Monte Carlo runs: int32 up-step counts against the levels of `event_test`."""
     ups = np.cumsum(inc == law.hi, axis=1, dtype=np.int32)
-    return prc.hits_from_levels(law, ups, prc.event_levels(law, spec, inc.shape[1]), spec)
+    steps, levels = mc.event_test(law, spec, inc.shape[1])
+    return np.any(ups[:, steps] >= levels, axis=1)
 
 
 class TestClopperPearson:
@@ -179,7 +180,8 @@ class TestRowBlocks:
                                       (TRUNCATED, law.truncated_second_moment(0.8))):
                 spec = prc.EventSpec(1.5, v, variant, y=0.8 if variant is TRUNCATED else None)
                 full = np.any((ps >= spec.x) & (per_step * steps <= v**2), axis=1)
-                assert np.array_equal(prc.hits_from_levels(law, ps, np.array([spec.x]), spec), full)
+                prefix, _ = mc.event_test(law, spec, 12)
+                assert np.array_equal(np.any(ps[:, prefix] >= spec.x, axis=1), full)
 
     @pytest.mark.parametrize("block_elems", [1, 3 * 7 + 1, 1000, 1 << 20])
     def test_hits_do_not_depend_on_the_block_size(self, monkeypatch, block_elems):
@@ -247,10 +249,10 @@ class TestWorkers:
         law = prc.parse_law(text)
         m = 1000
         for n in (1, 3, 5, 7):
-            whole = prc.sample_statistic(law, prc.make_generator(17, 2), (m, n))
+            whole = mc.sample_statistic(law, prc.make_generator(17, 2), (m, n))
             for first in (4, 36, 500, 996):
                 rng = mc._unit_generator(17, 2, first, n)
-                assert np.array_equal(prc.sample_statistic(law, rng, (m - first, n)),
+                assert np.array_equal(mc.sample_statistic(law, rng, (m - first, n)),
                                       whole[first:])
 
     def test_a_range_must_start_a_philox_block(self):

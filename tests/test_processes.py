@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from smbounds import montecarlo as mc
 from smbounds import processes as prc
 
 ZOO = [
@@ -260,7 +261,8 @@ class TestEventHit:
                         prc.EventVariant.FINAL_ONLY):
             spec = prc.EventSpec(1.0, v, variant)
             assert prc.event_hit(path, spec)
-            flags = prc.hits_from_levels(law, path.partial_sums[None, :], np.array([spec.x]), spec)
+            steps, _ = mc.event_test(law, spec, 3)
+            flags = np.any(path.partial_sums[None, steps] >= spec.x, axis=1)
             assert flags.tolist() == [True]
 
     def test_truncated_requires_trunc_var(self):
@@ -280,24 +282,34 @@ class TestEventHit:
             prc.EventSpec(1.0, 0.0, prc.EventVariant.FINAL_ONLY)
 
     def test_vectorized_matches_scalar(self):
-        law = prc.TwoPointExtremal(0.5)
-        inc = law.sample(prc.make_generator(11), (64, 9))
-        for variant in prc.EventVariant:
-            y = 0.8 if variant is prc.EventVariant.TRUNCATED_ANY_K else None
-            spec = prc.EventSpec(1.5, 1.9, variant, y=y)
-            # the Monte Carlo route: int32 up-step counts against the step levels
-            ups = np.cumsum(inc == law.hi, axis=1, dtype=np.int32)
-            flags = prc.hits_from_levels(law, ups, prc.event_levels(law, spec, inc.shape[1]), spec)
-            for i in range(64):
-                steps = np.arange(1, 10, dtype=float)
-                path = prc.PathRecord(
-                    increments=inc[i],
-                    partial_sums=np.cumsum(inc[i]),
-                    qc=law.second_moment() * steps,
-                    trunc_var=law.truncated_second_moment(y) * steps if y else None,
-                    max_increment=float(inc[i].max()),
-                )
-                assert flags[i] == prc.event_hit(path, spec)
+        # the Monte Carlo route (the running statistic of the same draws
+        # against the levels of `event_test`) for every variant, at v = 1.9
+        # and at budgets of exactly k steps and just short of them
+        seen = set()
+        for law in (prc.TwoPointExtremal(0.5), prc.CenteredExponential()):
+            inc = law.sample(prc.make_generator(11), (64, 9))
+            stat = mc.sample_statistic(law, prc.make_generator(11), (64, 9))
+            for variant in prc.EventVariant:
+                y = 0.8 if variant is prc.EventVariant.TRUNCATED_ANY_K else None
+                per_step = law.truncated_second_moment(y) if y else law.second_moment()
+                budgets = [1.9] + [math.sqrt(k * per_step * shrink)
+                                   for k in (1, 8, 9) for shrink in (1.0, 1 - 1e-6)]
+                for v in budgets:
+                    spec = prc.EventSpec(1.5, v, variant, y=y)
+                    cols, levels = mc.event_test(law, spec, inc.shape[1])
+                    flags = np.any(stat[:, cols] >= levels, axis=1)
+                    seen.update(flags.tolist())
+                    for i in range(64):
+                        steps = np.arange(1, 10, dtype=float)
+                        path = prc.PathRecord(
+                            increments=inc[i],
+                            partial_sums=np.cumsum(inc[i]),
+                            qc=law.second_moment() * steps,
+                            trunc_var=per_step * steps if y else None,
+                            max_increment=float(inc[i].max()),
+                        )
+                        assert flags[i] == prc.event_hit(path, spec)
+        assert seen == {False, True}
 
 
 class TestCountThresholds:

@@ -4,10 +4,12 @@ Since the increments are IID, the quadratic characteristic is the
 deterministic ramp k * m2, so the stopped event reduces to first passage of
 the partial sums above x within k_max = min(n, floor(v^2/m2 + 1e-9)) steps,
 the rule of `processes.budget_steps`.  One DP pass propagates the exact
-distribution of the partial sum, absorbing mass at first passage; the final
-tail, which needs no absorption, is the closed-form tail of the
-Binomial(n, p_a) count of upper steps.  A brute-force path enumeration is
-kept as an independent route.
+distribution of the partial sum for those k_max steps, absorbing mass at
+first passage: no later step can decide the stopped event, and a budget of
+0 steps makes no pass at all.  When the budget covers the horizon the pass
+runs all n steps, and the final tail, which needs no absorption, is the
+closed-form tail of the Binomial(n, p_a) count of upper steps.  A
+brute-force path enumeration is kept as an independent route.
 
 Every passage decision is exact in integers.  A law on two atoms a > b is
 tracked by the count j of a-steps: a dense mass vector over j takes one
@@ -123,7 +125,7 @@ def first_passage_dp(
     a dense mass vector over j = 0..n.  A step is one shift-add,
     m'[j] = m[j] p_b + m[j-1] p_a, and the sum reaches x exactly when
     j >= j*_k (`count_thresholds`), so the surviving states are always a
-    prefix j < live.
+    prefix j < live; once that prefix is empty no later step moves any mass.
 
     Returns (cumulative absorbed probability by step k for k = 0..n, the
     surviving final distribution as (sum, prob) pairs, and the mass defect
@@ -139,17 +141,25 @@ def first_passage_dp(
     thresholds = count_thresholds(a, b, x, n).tolist()
     mass = np.zeros(n + 1)
     mass[0] = 1.0
+    up = np.empty(n)
     live = 1
+    absorbed = 0.0
     absorbed_cum = [0.0]
     for k in range(1, n + 1):
-        up = mass[:live] * pa
+        np.multiply(mass[:live], pa, out=up[:live])
         mass[:live] *= pb
-        mass[1:live + 1] += up
-        live = live + 1 if live else 0
-        cut = min(live, thresholds[k])
-        absorbed_cum.append(absorbed_cum[-1] + float(mass[cut:live].sum()))
-        mass[cut:live] = 0.0
-        live = cut
+        mass[1:live + 1] += up[:live]
+        live += 1
+        cut = thresholds[k]
+        if cut < live:
+            # one absorbed state is read as a scalar; its sum is itself
+            absorbed += float(mass[cut]) if cut == live - 1 else float(mass[cut:live].sum())
+            mass[cut:live] = 0.0
+            live = cut
+        absorbed_cum.append(absorbed)
+        if not live:
+            absorbed_cum += [absorbed] * (n - k)
+            break
     # j*a + (n - j)*b, correctly rounded from integer numerators
     fa, fb = Fraction(a), Fraction(b)
     den = math.lcm(fa.denominator, fb.denominator)
@@ -215,9 +225,11 @@ def exact_event_probability(
     """Exact probabilities of the stopped, running-max, and final-time events
     at threshold x with variance budget v^2.
 
-    method "dp" (the default) makes one absorbing `first_passage_dp` pass and,
-    when the budget never binds, takes the final tail in closed form from the
-    Binomial(n, p_a) count of a-steps; "enumerate" walks every path
+    method "dp" (the default) makes one absorbing `first_passage_dp` pass over
+    the k_max = `budget_steps` steps the budget covers, and none when k_max is
+    0; when the budget never binds (k_max = n) it takes the final tail in
+    closed form from the Binomial(n, p_a) count of a-steps.  The STATE_CAP
+    refusal therefore counts k_max + 1 states.  "enumerate" walks every path
     (n <= ENUM_MAX_N).
     """
     if not math.isfinite(x):
@@ -231,14 +243,18 @@ def exact_event_probability(
     if method != "dp":
         raise ValueError(f"unknown method {method!r}")
 
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     k_max = budget_steps(law.m2, n, v)
-    absorbed_cum, _, defect = first_passage_dp(law, n, x)
-    p_stopped = absorbed_cum[k_max] if k_max >= 1 else 0.0
-    if k_max >= n:
-        p_max, p_final = absorbed_cum[n], _final_tail(law, n, x)
-    else:
-        p_max = p_final = 0.0
-    return ExactResult(*map(_clamp01, (p_stopped, p_max, p_final)), n, x, v, defect)
+    if k_max == 0:
+        return ExactResult(0.0, 0.0, 0.0, n, x, v, 0.0)
+    # no step past k_max decides the stopped event, and the other two events
+    # need the budget to cover the horizon
+    absorbed_cum, _, defect = first_passage_dp(law, k_max, x)
+    p_stopped = _clamp01(absorbed_cum[k_max])
+    if k_max < n:
+        return ExactResult(p_stopped, 0.0, 0.0, n, x, v, defect)
+    return ExactResult(p_stopped, p_stopped, _clamp01(_final_tail(law, n, x)), n, x, v, defect)
 
 
 #: Absolute slack when comparing an exact probability against a bound; covers

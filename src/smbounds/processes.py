@@ -318,6 +318,10 @@ def budget_steps(per_step: float, n: int, v: float) -> int:
     return min(n, math.floor(v * v / per_step + 1e-9))
 
 
+#: Steps k whose thresholds `count_thresholds` computes in one object array.
+_THRESHOLD_BLOCK = 1 << 10
+
+
 def count_thresholds(a: float, b: float, x: float, n: int) -> np.ndarray:
     """j*_k = ceil((x - k*b) / (a - b)) for k = 0..n, clamped to [0, k + 1].
 
@@ -333,9 +337,23 @@ def count_thresholds(a: float, b: float, x: float, n: int) -> np.ndarray:
     u, w = Fraction(x) / width, Fraction(b) / width
     q = math.lcm(u.denominator, w.denominator)
     nu, nw = u.numerator * (q // u.denominator), w.numerator * (q // w.denominator)
-    # ceil((nu - k*nw) / q) as a floor division
-    return np.array([min(k + 1, max(0, -((k * nw - nu) // q))) for k in range(n + 1)],
-                    dtype=np.int64)
+    # ceil((nu - k*nw) / q) = (nu + q - 1 - k*nw) // q for q > 0, on Python
+    # ints in an object array, one block of k at a time and in place, so at
+    # most one block of big ints is alive; clamped to [0, k + 1] before the
+    # cast to int64
+    top = nu + q - 1
+    out = np.empty(n + 1, dtype=np.int64)
+    for lo in range(0, n + 1, _THRESHOLD_BLOCK):
+        hi = min(n + 1, lo + _THRESHOLD_BLOCK)
+        j = np.arange(lo, hi, dtype=object)
+        cap = j + 1
+        np.multiply(j, nw, out=j)
+        np.subtract(top, j, out=j)
+        np.floor_divide(j, q, out=j)
+        np.maximum(j, 0, out=j)
+        np.minimum(j, cap, out=j)
+        out[lo:hi] = j.tolist()
+    return out
 
 
 def event_hit(path: PathRecord, spec: EventSpec) -> bool:

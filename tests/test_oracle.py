@@ -309,6 +309,7 @@ class TestOnePass:
         assert self._check_final_tail("extremal:0.5", -10.0) > 0.5
 
     def test_defect_is_the_pass_defect(self):
+        # the pass runs the k_max budget steps; a budget of 0 makes no pass
         rng = np.random.default_rng(17)
         for law in TestDpVsEnumeration.LAWS:
             for n in (1, 7, 300):
@@ -316,22 +317,59 @@ class TestOnePass:
                 for scale in (0.5, 1.1):
                     v = math.sqrt(scale * n * law.m2)
                     res = orc.exact_event_probability(law, n, x, v)
-                    assert res.defect == orc.first_passage_dp(law, n, x)[2]
+                    k_max = prc.budget_steps(law.m2, n, v)
+                    want = orc.first_passage_dp(law, k_max, x)[2] if k_max else 0.0
+                    assert res.defect == want
             res = orc.exact_event_probability(law, 6, 1.0, 2.0, method="enumerate")
             assert 0.0 <= res.defect <= 1e-15
 
-    @pytest.mark.parametrize("scale", [0.9, 1.1])  # the budget binds, or never does
+    # the budget binds (the pass stops at k_max), never binds, or is empty
+    @pytest.mark.parametrize("scale", [0.9, 1.1, 0.001])
     def test_one_dp_call_per_answer(self, monkeypatch, scale):
         calls = _count_dp_calls(monkeypatch)
         law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
         orc.exact_event_probability(law, 300, 90.0, math.sqrt(scale * 300 * law.m2))
-        assert calls == [(law, 300, 90.0)]
+        horizons = {0.9: [270], 1.1: [300], 0.001: []}[scale]
+        assert calls == [(law, k, 90.0) for k in horizons]
 
     def test_suite_oracle_makes_one_dp_call_per_instance(self, monkeypatch):
-        # 288 corpus instances and 200 DP-vs-enumeration instances
+        # 288 corpus instances and 200 DP-vs-enumeration instances, less the
+        # 13 random ones (n <= 2, v^2 < m2) whose budget covers no step
         calls = _count_dp_calls(monkeypatch)
         suites.suite_oracle()
-        assert len(calls) == 488
+        assert len(calls) == 475
+
+
+class TestBudgetHorizon:
+    """The DP stops at the budget's last step k_max; the thresholds j*_k for
+    k <= k_max do not depend on n, so p_stopped is the full pass's entry."""
+
+    @staticmethod
+    def _check(law, n, x, v):
+        res = orc.exact_event_probability(law, n, x, v)
+        k_max = prc.budget_steps(law.m2, n, v)
+        assert res.p_stopped == orc.first_passage_dp(law, n, x)[0][k_max]
+
+    def test_bit_identical_on_the_corpus(self):
+        for law, n, x, v, _ in suites.oracle_corpus():
+            self._check(orc.LatticeLaw.from_increment_law(law), n, x, v)
+
+    @pytest.mark.parametrize("spec", ["extremal:0.5", "bounded:0.45", "drifted:0.5,0.1"])
+    @pytest.mark.parametrize("n", [300, 1000, 2000])
+    def test_bit_identical_at_binding_budgets(self, spec, n):
+        law = orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
+        for scale in (0.1, 0.3, 0.6, 0.9, 0.999):
+            self._check(law, n, 0.3 * n, math.sqrt(scale * n * law.m2))
+
+    def test_the_cap_counts_budget_steps(self, monkeypatch):
+        monkeypatch.setattr(orc, "STATE_CAP", 100)
+        law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
+        far = orc.exact_event_probability(law, 10**6, 5.0, math.sqrt(50 * law.m2))
+        near = orc.exact_event_probability(law, 50, 5.0, math.sqrt(50 * law.m2))
+        assert far.p_stopped == near.p_stopped > 0.0
+        assert far.p_max == far.p_final == 0.0
+        with pytest.raises(orc.StateSpaceError):
+            orc.exact_event_probability(law, 10**6, 5.0, math.sqrt(100 * law.m2))
 
 
 def test_non_dyadic_boundary_value_is_exact():

@@ -328,6 +328,27 @@ class TestCountThresholds:
                 want = next((j for j in range(k + 1) if j * fa + (k - j) * fb >= fx), k + 1)
                 assert thresholds[k] == want
 
+    def test_matches_the_per_step_loop(self):
+        # the per-k comprehension the block computation replaced, on random
+        # atoms (some both positive), extreme thresholds and block boundaries
+        def per_step(a, b, x, n):
+            width = Fraction(a) - Fraction(b)
+            u, w = Fraction(x) / width, Fraction(b) / width
+            q = math.lcm(u.denominator, w.denominator)
+            nu, nw = u.numerator * (q // u.denominator), w.numerator * (q // w.denominator)
+            return [min(k + 1, max(0, -((k * nw - nu) // q))) for k in range(n + 1)]
+
+        rng = np.random.default_rng(29)
+        for i in range(1200):
+            a, b = sorted(rng.uniform(-2.0, 2.0, 2).tolist(), reverse=True)
+            if i % 4 == 0:
+                a, b = a + 2.5, b + 2.0
+            x = [float(rng.uniform(-5.0, 40.0)), 1e300, -1e300, 5e-324, -5e-324, 0.0][i % 6]
+            n = int(rng.integers(0, 60)) if i % 100 else [1023, 1024, 1025, 2049][i // 100 % 4]
+            thresholds = prc.count_thresholds(a, b, x, n)
+            assert thresholds.dtype == np.int64
+            assert thresholds.tolist() == per_step(a, b, x, n)
+
     def test_non_dyadic_boundary(self):
         # 1 + 2 * (-0.45) < 0.1 for the doubles: one up step in three is short
         assert prc.count_thresholds(1.0, -0.45, 0.1, 3).tolist() == [1, 1, 1, 2]

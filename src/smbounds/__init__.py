@@ -30,7 +30,7 @@ from .cumulant import (
     optimal_tilt_linear,
 )
 from .montecarlo import Estimate, estimate_event, tightness_ratio, verify_bound
-from .oracle import ExactResult, LatticeLaw, exact_event_probability, exact_vs_bound
+from .oracle import ExactResult, LatticeLaw, exact_event_probability
 from .processes import (
     CenteredExponential,
     DriftedTwoPoint,

@@ -75,6 +75,7 @@ class Param:
     help: str = ""
     required: bool = False
     flag: bool = False
+    choices: tuple[str, ...] = ()
 
 
 PARAMS: dict[str, list[Param]] = {
@@ -89,12 +90,12 @@ PARAMS: dict[str, list[Param]] = {
         Param("p_qc_exceed", float, 0.0, "P(variance budget exceeded)"),
         Param("supermartingale", _parse_bool, False,
               "flag the supermartingale regime for the bounded-range bound", flag=True),
-        Param("format", str, "table", "table, json, or csv"),
+        Param("format", str, "table", "table, json, or csv", choices=("table", "json", "csv")),
         Param("out", str, help="write output to this path instead of stdout"),
     ],
     "compare": [
         Param("grid", str, help="grid file with x/v/n lists; defaults to the built-in grid"),
-        Param("format", str, "csv", "csv or json"),
+        Param("format", str, "csv", "csv or json", choices=("csv", "json")),
         Param("out", str),
     ],
     "simulate": [
@@ -107,7 +108,7 @@ PARAMS: dict[str, list[Param]] = {
         Param("trials", int, 10**5),
         Param("seed", int, 20240001),
         Param("gamma", float, 0.95, "confidence level for the exact interval"),
-        Param("format", str, "json", "json or csv"),
+        Param("format", str, "json", "json or csv", choices=("json", "csv")),
         Param("out", str),
     ],
     "verify": [
@@ -158,6 +159,8 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict[str, Any]:
             value = p.default
         if value is None and p.required:
             raise ValueError(f"missing required parameter --{p.name.replace('_', '-')}")
+        if p.choices and value not in p.choices:
+            raise ValueError(f"unknown {p.name} {value!r}")
         merged[p.name] = value
     unknown = set(config) - {p.name for p in PARAMS[command]}
     if unknown:
@@ -229,7 +232,7 @@ def cmd_bounds(p: dict[str, Any]) -> int:
                "bounds": [{k: r.get(k) for k in ("bound_name", "log_value", "value", "branch")}
                           for r in rows]}
         _emit(_json_text(doc), p["out"])
-    elif p["format"] == "table":
+    else:
         width = max(len(r["bound_name"]) for r in rows)
         lines = [f"query: x={fmt(p['x'])} v={fmt(p['v'])} n={p['n']}"]
         for r in rows:
@@ -237,8 +240,6 @@ def cmd_bounds(p: dict[str, Any]) -> int:
             lines.append(f"  {r['bound_name']:<{width}}  log={fmt(r['log_value'])}  "
                          f"value={fmt(r['value'])}{branch}")
         _emit("\n".join(lines) + "\n", p["out"])
-    else:
-        raise ValueError(f"unknown format {p['format']!r}")
     return EXIT_OK
 
 

@@ -15,7 +15,8 @@ Every passage decision is exact in integers.  A law on two atoms a > b is
 tracked by the count j of a-steps: a dense mass vector over j takes one
 shift-add per step, and the sum reaches x exactly when j >= j*_k of
 `processes.count_thresholds`, the test Monte Carlo applies to its sampled
-paths.
+paths.  The comparison with the bounds is `suites.exact_vs_bound`, which
+checks their hypotheses.
 """
 
 from __future__ import annotations
@@ -27,17 +28,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import bounds as bnd
 from .processes import IncrementLaw, TwoPoint, budget_steps, count_thresholds
 
 __all__ = [
     "StateSpaceError",
     "LatticeLaw",
     "ExactResult",
-    "BoundComparison",
     "first_passage_dp",
     "exact_event_probability",
-    "exact_vs_bound",
 ]
 
 #: Refuse (rather than extrapolate) beyond this many simultaneous DP states.
@@ -74,14 +72,6 @@ class LatticeLaw:
     def m2(self) -> float:
         return math.fsum(v * v * p for v, p in self.atoms)
 
-    @property
-    def mean(self) -> float:
-        return math.fsum(v * p for v, p in self.atoms)
-
-    @property
-    def support_max(self) -> float:
-        return max(v for v, _ in self.atoms)
-
 
 @dataclass(frozen=True)
 class ExactResult:
@@ -95,20 +85,6 @@ class ExactResult:
     x: float
     v: float
     defect: float
-
-
-@dataclass(frozen=True)
-class BoundComparison:
-    """Exact stopped-event probability against every applicable closed-form
-    bound, with per-bound validity flags (reproduction data is the record)."""
-
-    result: ExactResult
-    bound_values: dict[str, float]
-    bound_ok: dict[str, bool]
-
-    @property
-    def valid(self) -> bool:
-        return all(self.bound_ok.values())
 
 
 def _clamp01(p: float) -> float:
@@ -261,18 +237,3 @@ def exact_event_probability(
 #: the DP accumulation round-off (<= n * |atoms| * 1e-15).
 COMPARISON_SLACK = 1e-12
 
-
-def exact_vs_bound(law: LatticeLaw, n: int, x: float, v: float) -> BoundComparison:
-    """Exact stopped-event probability against the closed-form bound family.
-
-    Only laws satisfying the hypotheses (support <= 1, mean <= 0 up to
-    round-off) are accepted; outside them the bounds claim nothing.
-    """
-    if law.support_max > 1.0:
-        raise ValueError(f"support max {law.support_max} > 1 violates the hypotheses")
-    if law.mean > 1e-12:
-        raise ValueError(f"mean {law.mean} > 0 violates the hypotheses")
-    result = exact_event_probability(law, n, x, v)
-    values = {name: bound.value for name, bound in bnd.core_bounds(bnd.TailQuery(x, v, n))}
-    ok = {name: result.p_stopped <= val + COMPARISON_SLACK for name, val in values.items()}
-    return BoundComparison(result, values, ok)

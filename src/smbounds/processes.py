@@ -314,8 +314,10 @@ def simulate_path(law: IncrementLaw, n: int, seed: int, y: Optional[float] = Non
 def budget_steps(per_step: float, n: int, v: float) -> int:
     """The leading steps k <= n with k * per_step <= v^2, counted as
     floor(v^2 / per_step + 1e-9): the epsilon lets a budget written as
-    v = sqrt(k * per_step) count k steps when v * v rounds below k * per_step."""
-    return min(n, math.floor(v * v / per_step + 1e-9))
+    v = sqrt(k * per_step) count k steps when v * v rounds below k * per_step.
+    A per-step moment of 0 uses none of the budget, so all n steps count; the
+    ratio is capped at n, so a subnormal moment cannot overflow the count."""
+    return n if per_step <= 0 else math.floor(min(v * v / per_step, n) + 1e-9)
 
 
 #: Steps k whose thresholds `count_thresholds` computes in one object array.

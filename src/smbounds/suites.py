@@ -1,7 +1,9 @@
 """Verification suites: derivative and ordering properties of the closed
 forms, variational cross-checks, the exact-oracle corpus, and the Monte Carlo
 corpus.  The CLI `verify` command and the acceptance tests run these same
-functions, so a pass here is the artifact's health check.
+functions, so a pass here is the artifact's health check.  The oracle and mc
+suites and `simulate` take the bounds a (law, event) pair admits from
+`applicable_checks`; the mc suite adds two checks under their own hypotheses.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ from .processes import (
 )
 
 __all__ = [
+    "BoundComparison",
     "Check",
     "SuiteReport",
     "SUITES",
     "run_suites",
     "applicable_checks",
+    "exact_vs_bound",
     "chain_grid",
     "oracle_corpus",
     "mc_corpus",
@@ -297,28 +301,25 @@ def suite_oracle() -> SuiteReport:
     bound_violations = []
     nesting_ok = True
     mass_ok = True
-    cor2_ok = True
-    for law, n, x, v, scale in oracle_corpus():
+    max_ok = True
+    for law, n, x, v, _ in oracle_corpus():
         instances += 1
-        lat = orc.LatticeLaw.from_increment_law(law)
-        comp = orc.exact_vs_bound(lat, n, x, v)
+        comp = exact_vs_bound(law, n, x, v)
         if not comp.valid:
             bound_violations.append(f"{law.label()} n={n} x={x:g} v={v:g}")
         res = comp.result
         if not (res.p_final <= res.p_max + 1e-15 and res.p_max <= res.p_stopped + 1e-15):
             nesting_ok = False
         mass_ok = mass_ok and res.defect <= 1e-12
-
-        if scale > 1.0 and any(res.p_max > bound.value + orc.COMPARISON_SLACK
-                               for _, bound in _range_bounds(law, x, n)):
-            cor2_ok = False
+        max_ok = max_ok and all(res.p_max <= val + orc.COMPARISON_SLACK
+                                for val in comp.bound_values.values())
     rep.add(f"exact stopped probability below every bound ({instances} instances)",
             not bound_violations,
             f"{len(bound_violations)} violations"
             + (f", first: {bound_violations[0]}" if bound_violations else ""))
     rep.add("event nesting p_final <= p_max <= p_stopped", nesting_ok)
     rep.add("probability mass conserved by the first-passage DP", mass_ok)
-    rep.add("running-max probability below the bounded-range bounds", cor2_ok)
+    rep.add("running-max probability below every applicable bound", max_ok)
 
     rng = np.random.default_rng(20240917)
     pool = _corpus_laws()
@@ -382,13 +383,14 @@ def _range_bounds(law: IncrementLaw, x: float, n: int) -> list[tuple[str, bnd.Lo
 def applicable_checks(law: IncrementLaw, spec: EventSpec, n: int) -> list[tuple[str, bnd.LogProb]]:
     """The bounds whose hypotheses the (law, event) pair satisfies.
 
-    For bounded-above laws every event variant sits inside the stopped event,
-    so the full family applies; bounded-below laws add the range-based pair;
-    truncated events use the two-term truncation bound with the law's exact
-    exceedance probability.
+    Every bound needs x >= 0 and a mean <= 0 (within 1e-12).  For laws bounded
+    above by 1 every event variant sits inside the stopped event, so the full
+    family applies; bounded-below laws add the range-based pair; truncated
+    events use the two-term truncation bound with the law's exact exceedance
+    probability.
     """
-    if spec.x < 0:
-        return []  # the bounds only claim anything for nonnegative thresholds
+    if spec.x < 0 or law.mean() > 1e-12:
+        return []  # the bounds claim nothing below 0 or for a positive drift
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
         _, p_max = exceedance_tail(law, spec.y, n)
         fn = bnd.fuk_nagaev(spec.x, spec.y, spec.v, n, p_max)
@@ -396,6 +398,35 @@ def applicable_checks(law: IncrementLaw, spec: EventSpec, n: int) -> list[tuple[
     if law.support_max > 1.0:
         return []
     return bnd.core_bounds(bnd.TailQuery(spec.x, spec.v, n)) + _range_bounds(law, spec.x, n)
+
+
+@dataclass(frozen=True)
+class BoundComparison:
+    """Exact stopped-event probability against every applicable closed-form
+    bound, with per-bound validity flags (reproduction data is the record)."""
+
+    result: orc.ExactResult
+    bound_values: dict[str, float]
+    bound_ok: dict[str, bool]
+
+    @property
+    def valid(self) -> bool:
+        return all(self.bound_ok.values())
+
+
+def exact_vs_bound(law: IncrementLaw, n: int, x: float, v: float) -> BoundComparison:
+    """The oracle's exact stopped-event probability of a two-point law against
+    every bound `applicable_checks` admits for the stopped event, each within
+    `oracle.COMPARISON_SLACK`.  A pair that admits no bound is refused with a
+    ValueError: outside the hypotheses the bounds claim nothing."""
+    checks = applicable_checks(law, EventSpec(x, v, EventVariant.STOPPED_ANY_K), n)
+    if not checks:
+        raise ValueError(f"no bound applies to {law.label()} at x={x!r}: the bounds "
+                         f"need x >= 0, mean <= 0 and support <= 1")
+    result = orc.exact_event_probability(orc.LatticeLaw.from_increment_law(law), n, x, v)
+    values = {name: bound.value for name, bound in checks}
+    ok = {name: result.p_stopped <= val + orc.COMPARISON_SLACK for name, val in values.items()}
+    return BoundComparison(result, values, ok)
 
 
 def suite_mc(trials: int = 10**6, gamma: float = 0.999) -> SuiteReport:
@@ -424,16 +455,14 @@ def suite_mc(trials: int = 10**6, gamma: float = 0.999) -> SuiteReport:
         nested = mc.nested_event_estimates(inst.law, inst.x, inst.v, inst.n, trials,
                                            inst.seed, gamma)
         rep.add(f"{label} per-path event nesting", nested.nesting_ok)
-        # the core family bounds the stopped event, the range pair the running max
-        q = bnd.TailQuery(inst.x, inst.v, inst.n)
-        checks = ([(nested.stopped, c) for c in bnd.core_bounds(q)]
-                  + [(nested.max_qc, c) for c in _range_bounds(inst.law, inst.x, inst.n)])
-        for target, (name, bound) in checks:
-            check = mc.verify_bound(target, bound)
+        # the stopped event sits inside the running max the range pair bounds
+        est = nested.stopped
+        for name, bound in applicable_checks(inst.law, est.spec, inst.n):
+            check = mc.verify_bound(est, bound)
             rep.add(f"{label} vs {name}", check.verdict == "PASS",
-                    f"p_hat={target.p_hat:.3e} ci_low={target.ci_low:.3e} bound={bound.value:.3e}")
+                    f"p_hat={est.p_hat:.3e} ci_low={est.ci_low:.3e} bound={bound.value:.3e}")
         if inst.law.mean() >= -1e-15 and cml.check_tilted_second_moment(inst.law, LAMBDA_GRID):
-            check = mc.verify_bound(nested.stopped, bnd.freedman(inst.x, inst.v))
+            check = mc.verify_bound(est, bnd.freedman(inst.x, inst.v))
             rep.add(f"{label} vs horizon-free bound under the tilt condition",
                     check.verdict == "PASS")
     return rep

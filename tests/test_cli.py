@@ -224,6 +224,22 @@ class TestSimulateCommand:
         assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["compare"],
+    ["simulate", "--law", "extremal:1", "--x", "1", "--v", "2", "--n", "4", "--trials", "10"],
+])
+def test_unknown_format_is_usage_error(argv, tmp_path, capsys):
+    # the same refusal as bounds, from a flag and from a config file
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format = table\n")
+    for extra in (["--format", "table"], ["--config", str(cfg)]):
+        code, out, err = run(argv + extra, capsys)
+        assert (code, out) == (2, "")
+        assert err == f"smbounds {argv[0]}: unknown format 'table'\n"
+    code, _, err = run(["bounds", "--x", "1", "--v", "1", "--n", "2", "--format", "xml"], capsys)
+    assert (code, err) == (2, "smbounds bounds: unknown format 'xml'\n")
+
+
 class TestVerifyCommand:
     def test_chain_suite_passes(self, capsys):
         code, out, _ = run(["verify", "--suite", "chain"], capsys)

@@ -463,3 +463,18 @@ class TestBudgetRule:
         for est, p in ((nested.stopped, exact.p_stopped), (nested.max_qc, exact.p_max),
                        (nested.final, exact.p_final)):
             assert est.ci_low <= p <= est.ci_high
+
+    def test_zero_truncated_moment_uses_no_budget(self):
+        # the atoms 1 and 0 truncated at y = 0.5 leave E[xi^2 1{xi <= y}] = 0,
+        # so every step is within any budget
+        law, n, m, seed = prc.TwoPoint(1.0, 0.0, 0.5, 0.5, "t"), 3, 100, 1
+        spec = prc.EventSpec(0.5, 1.0, TRUNCATED, y=0.5)
+        assert prc.budget_steps(0.0, n, spec.v) == n
+        assert prc.budget_steps(5e-324, n, 1e10) == n  # v^2 / per_step overflows
+        inc = law.sample(prc.make_generator(seed, 0), (m, n))  # the paths of chunk 0
+        steps = np.arange(1, n + 1, dtype=float)
+        hits = sum(prc.event_hit(prc.PathRecord(row, np.cumsum(row), 0.5 * steps, 0.0 * steps,
+                                                float(row.max())), spec)
+                   for row in inc)
+        assert hits == sum(row.max() == 1.0 for row in inc)
+        assert mc.estimate_event(law, spec, n, m, seed).hits == hits

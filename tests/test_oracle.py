@@ -37,7 +37,6 @@ class TestLatticeLaw:
     def test_from_increment_law(self):
         law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
         assert law.m2 == pytest.approx(0.5, rel=1e-14)
-        assert law.mean == pytest.approx(0.0, abs=1e-15)
         with pytest.raises(ValueError):
             orc.LatticeLaw.from_increment_law(prc.CenteredExponential())
 
@@ -386,30 +385,28 @@ def test_non_dyadic_boundary_value_is_exact():
 
 class TestExactVsBound:
     def test_extremal_law_instance(self):
-        law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(1.0))
-        comp = orc.exact_vs_bound(law, 10, 3.0, math.sqrt(10.0))
+        comp = suites.exact_vs_bound(prc.TwoPointExtremal(1.0), 10, 3.0, math.sqrt(10.0))
         assert comp.valid
         assert comp.result.p_stopped <= comp.bound_values["hoeffding"] + 1e-12
-        assert set(comp.bound_values) == {"hoeffding", "freedman", "bennett",
-                                          "bernstein", "prohorov"}
+        assert set(comp.bound_values) == {"hoeffding", "freedman", "bennett", "bernstein",
+                                          "prohorov", "azuma_refined", "hoeffding_bounded"}
 
     def test_sharp_at_x_equals_n(self):
         # the all-ones path attains the bound when v^2 = n sigma^2
         s2 = 1.0
         n = 10
-        law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(s2))
-        comp = orc.exact_vs_bound(law, n, float(n), math.sqrt(n * s2 * 1.0000001))
+        law = prc.TwoPointExtremal(s2)
+        comp = suites.exact_vs_bound(law, n, float(n), math.sqrt(n * s2 * 1.0000001))
         assert comp.valid
         assert comp.result.p_stopped == pytest.approx(2.0**-10, rel=1e-12, abs=0)
 
     def test_consistent_indicator_beyond_horizon(self):
-        law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(1.0))
-        comp = orc.exact_vs_bound(law, 4, 5.0, 10.0)
+        comp = suites.exact_vs_bound(prc.TwoPointExtremal(1.0), 4, 5.0, 10.0)
         assert comp.result.p_stopped == 0.0
         assert comp.bound_values["hoeffding"] == 0.0
 
     def test_rejects_hypothesis_violations(self):
-        with pytest.raises(ValueError):
-            orc.exact_vs_bound(orc.LatticeLaw(((2.0, 0.5), (-2.0, 0.5))), 2, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            orc.exact_vs_bound(orc.LatticeLaw(((1.0, 0.9), (-0.5, 0.1))), 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="no bound applies"):
+            suites.exact_vs_bound(prc.TwoPoint(2.0, -2.0, 0.5, 0.5, "t"), 2, 1.0, 1.0)
+        with pytest.raises(ValueError, match="no bound applies"):  # mean 0.85
+            suites.exact_vs_bound(prc.TwoPoint(1.0, -0.5, 0.9, 0.1, "t"), 2, 1.0, 1.0)

@@ -2,12 +2,15 @@
 
 import math
 
+import pytest
+
 from smbounds import suites
 from smbounds.processes import (
     CenteredExponential,
     DriftedTwoPoint,
     EventSpec,
     EventVariant,
+    TwoPoint,
     TwoPointBounded,
 )
 
@@ -46,3 +49,35 @@ def test_range_pair_values():
     checks = dict(suites.applicable_checks(law, spec, 10))
     # U_10(2, 0.5) = min(22.5, 4 (5 + 2/3)) = 22.5 on the range branch
     assert math.isclose(checks["azuma_refined"].log_value, -8.0 / 22.5, rel_tol=1e-15)
+
+
+# mean +0.25: not a supermartingale difference, though bounded above by 1
+DRIFTING_UP = TwoPoint(1.0, -0.5, 0.5, 0.5, "up")
+
+
+def test_positive_mean_claims_nothing():
+    assert names(DRIFTING_UP) == []
+    assert names(DRIFTING_UP, variant=EventVariant.TRUNCATED_ANY_K, y=0.5) == []
+
+
+def test_exact_vs_bound_refuses_what_admits_no_bound():
+    for law in (DRIFTING_UP, TwoPoint(2.0, -2.0, 0.5, 0.5, "wide")):
+        with pytest.raises(ValueError, match="no bound applies"):
+            suites.exact_vs_bound(law, 5, 1.0, 2.0)
+
+
+def test_corpus_laws_keep_their_lists():
+    for law in suites._corpus_laws():
+        assert law.mean() <= 1e-12
+        assert names(law)[:5] == CORE
+    for inst in suites.mc_corpus():
+        assert inst.law.mean() <= 1e-12
+        variant = EventVariant.STOPPED_ANY_K if inst.y is None else EventVariant.TRUNCATED_ANY_K
+        assert names(inst.law, inst.x, inst.v, inst.n, variant, inst.y)
+
+
+def test_exact_vs_bound_compares_with_the_applicable_list():
+    for law, n, x, v, _ in suites.oracle_corpus():
+        comp = suites.exact_vs_bound(law, n, x, v)
+        assert list(comp.bound_values) == names(law, x, v, n)
+        assert comp.valid

@@ -37,13 +37,10 @@ from .processes import (
     EventSpec,
     EventVariant,
     IncrementLaw,
-    PathRecord,
     TwoPoint,
     TwoPointBounded,
     TwoPointExtremal,
-    event_hit,
     exceedance_tail,
-    simulate_path,
 )
 
 __version__ = "0.1.0"

@@ -93,7 +93,7 @@ def _clamp01(p: float) -> float:
 
 def first_passage_dp(
     law: LatticeLaw, n: int, x: float
-) -> tuple[list[float], list[tuple[float, float]], float]:
+) -> tuple[list[float], list[float], float]:
     """Propagate the exact distribution of the partial sums for n steps,
     absorbing mass at the first k where X_k >= x.
 
@@ -104,8 +104,8 @@ def first_passage_dp(
     prefix j < live; once that prefix is empty no later step moves any mass.
 
     Returns (cumulative absorbed probability by step k for k = 0..n, the
-    surviving final distribution as (sum, prob) pairs, and the mass defect
-    |1 - absorbed - surviving|).
+    surviving masses over the counts j < live after step n, whose sums are
+    j*a + (n - j)*b, and the mass defect |1 - absorbed - surviving|).
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
@@ -136,14 +136,8 @@ def first_passage_dp(
         if not live:
             absorbed_cum += [absorbed] * (n - k)
             break
-    # j*a + (n - j)*b, correctly rounded from integer numerators
-    fa, fb = Fraction(a), Fraction(b)
-    den = math.lcm(fa.denominator, fb.denominator)
-    na, nb = fa.numerator * (den // fa.denominator), fb.numerator * (den // fb.denominator)
-    sums = [(n * nb + j * (na - nb)) / den for j in range(live)]
     final = mass[:live].tolist()
-    defect = abs(1.0 - absorbed_cum[-1] - math.fsum(final))
-    return absorbed_cum, list(zip(sums, final)), defect
+    return absorbed_cum, final, abs(1.0 - absorbed_cum[-1] - math.fsum(final))
 
 
 def _final_tail(law: LatticeLaw, n: int, x: float) -> float:

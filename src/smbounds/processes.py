@@ -1,5 +1,6 @@
 """One-step increment laws with known conditional moments, the deviation
-events, and a single simulated path with its exact event indicator.
+events, and the integer rules that decide them: the steps within a variance
+budget and the up-step counts that reach a threshold.
 
 Every finite law is a `TwoPoint`: the extremal law on {1, -b}, which attains
 the two-point MGF bound, shifted down by a drift delta in [0, b].
@@ -9,13 +10,13 @@ their CLI labels; `CenteredExponential` is the one law unbounded above.
 All laws are IID per path, so the quadratic characteristic and the truncated
 variance are deterministic multiples of the step count; every event is then
 exactly decidable from the realized partial sums alone.  `montecarlo` draws
-and tests many paths with the `budget_steps` and `count_thresholds` used here.
+and tests paths, and `oracle` propagates their exact distribution, with the
+`budget_steps` and `count_thresholds` defined here.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -32,13 +33,10 @@ __all__ = [
     "IncrementLaw",
     "EventVariant",
     "EventSpec",
-    "PathRecord",
     "parse_law",
     "make_generator",
     "exact_mgf",
     "exceedance_tail",
-    "simulate_path",
-    "event_hit",
     "budget_steps",
     "count_thresholds",
 ]
@@ -100,10 +98,6 @@ class TwoPoint:
         if y <= 0:
             raise ValueError(f"truncation level y must be > 0, got {y}")
         return sum(p for v, p in self.atoms() if v > y)
-
-    def tilted_second_moment(self, lam: float) -> float:
-        """E[xi^2 e^{lam*xi}], exact from the atoms."""
-        return math.exp(self.log_tilted_second_moment(lam))
 
     def log_tilted_second_moment(self, lam: float) -> float:
         """log E[xi^2 e^{lam*xi}], with e^{lam*hi} factored out so that no
@@ -191,10 +185,6 @@ class CenteredExponential:
     def support_max(self) -> float:
         return math.inf
 
-    def tilted_second_moment(self, lam: float) -> float:
-        """E[xi^2 e^{lam*xi}]; infinite for lam >= 1."""
-        return math.exp(self.log_tilted_second_moment(lam))
-
     def log_tilted_second_moment(self, lam: float) -> float:
         """log E[xi^2 e^{lam*xi}] = -lam + log(2/mu^3 - 2/mu^2 + 1/mu) at
         mu = 1 - lam, from the integral of (z - 1)^2 e^{-mu*z} over z >= 0;
@@ -279,38 +269,6 @@ class EventSpec:
             raise ValueError(f"y only applies to truncated events, got y={self.y}")
 
 
-@dataclass
-class PathRecord:
-    """One simulated trajectory with its running sums and (deterministic,
-    law-derived) variance processes."""
-
-    increments: np.ndarray
-    partial_sums: np.ndarray
-    qc: np.ndarray
-    trunc_var: Optional[np.ndarray]
-    max_increment: float
-
-    def __len__(self) -> int:
-        return len(self.increments)
-
-
-def simulate_path(law: IncrementLaw, n: int, seed: int, y: Optional[float] = None) -> PathRecord:
-    """Simulate one path of n IID increments; bit-reproducible from (law, n, seed)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    inc = law.sample(make_generator(seed), (n,)).astype(float)
-    steps = np.arange(1, n + 1, dtype=float)
-    qc = law.second_moment() * steps
-    tv = law.truncated_second_moment(y) * steps if y is not None else None
-    return PathRecord(
-        increments=inc,
-        partial_sums=np.cumsum(inc),
-        qc=qc,
-        trunc_var=tv,
-        max_increment=float(inc.max()),
-    )
-
-
 def budget_steps(per_step: float, n: int, v: float) -> int:
     """The leading steps k <= n with k * per_step <= v^2, counted as
     floor(v^2 / per_step + 1e-9): the epsilon lets a budget written as
@@ -356,35 +314,6 @@ def count_thresholds(a: float, b: float, x: float, n: int) -> np.ndarray:
         np.minimum(j, cap, out=j)
         out[lo:hi] = j.tolist()
     return out
-
-
-def event_hit(path: PathRecord, spec: EventSpec) -> bool:
-    """Exact indicator of the event along the stored trajectory.
-
-    The partial sums are compared with x in exact rational arithmetic on the
-    stored increments, which on a two-point law decides every path as the
-    step-count test of Monte Carlo (`montecarlo.event_test`) does.  The
-    k-wise variants require both conditions at the same k; the budget
-    condition holds on the leading `budget_steps` steps, and the threshold
-    comparison is inclusive.
-    """
-    n, variance = len(path), path.qc
-    if spec.variant is EventVariant.TRUNCATED_ANY_K:
-        if path.trunc_var is None:
-            raise ValueError("path carries no truncated variance; simulate with y set")
-        variance = path.trunc_var
-    x = Fraction(spec.x)
-    reached = [s >= x for s in itertools.accumulate(map(Fraction, path.increments.tolist()))]
-    k_max = budget_steps(variance[0], n, spec.v)
-    if spec.variant in (EventVariant.STOPPED_ANY_K, EventVariant.TRUNCATED_ANY_K):
-        return any(reached[:k_max])
-    if k_max < n:
-        return False
-    if spec.variant is EventVariant.MAX_WITH_FINAL_QC:
-        return any(reached)
-    if spec.variant is EventVariant.FINAL_ONLY:
-        return reached[-1]
-    raise AssertionError(f"unhandled variant {spec.variant}")
 
 
 def exceedance_tail(law: IncrementLaw, y: float, n: int) -> tuple[float, float]:

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from reference import exact_hit
 from smbounds import montecarlo as mc
 from smbounds import oracle as orc
 from smbounds import processes as prc
@@ -103,12 +104,6 @@ class TestEstimateEvent:
             inc = law.sample(prc.make_generator(seed, j), (m, n))
             manual += int(_mc_flags(law, inc, spec).sum())
         assert est.hits == manual
-
-    def test_first_path_is_simulate_path(self):
-        law = prc.TwoPointExtremal(0.5)
-        single = prc.simulate_path(law, 6, seed=77)
-        inc = law.sample(prc.make_generator(77, 0), (4, 6))
-        assert np.array_equal(single.increments, inc[0])
 
     def test_estimate_echoes_provenance(self):
         spec = prc.EventSpec(1.0, 3.0, STOPPED)
@@ -386,16 +381,13 @@ class TestNonDyadicBoundary:
         reached = [[s >= Fraction(self.X) for s in itertools.accumulate(map(Fraction, row))]
                    for row in inc.tolist()]
         assert (np.cumsum(inc, axis=1) >= self.X).tolist() != reached  # float sums differ
-        steps = np.arange(1, n + 1, dtype=float)
         for variant in (STOPPED, MAX, FINAL):  # the budget never binds
             spec = prc.EventSpec(self.X, self._v(n), variant)
             expected = [r[-1] if variant is FINAL else any(r) for r in reached]
             flags = _mc_flags(law, inc, spec)
             assert flags.tolist() == expected
             for row, flag in zip(inc, flags):
-                path = prc.PathRecord(row, np.cumsum(row), law.second_moment() * steps, None,
-                                      float(row.max()))
-                assert prc.event_hit(path, spec) == flag
+                assert exact_hit(row, law.second_moment(), spec) == flag
             assert mc.estimate_event(law, spec, n, m, seed).hits == sum(expected)
 
 
@@ -472,9 +464,6 @@ class TestBudgetRule:
         assert prc.budget_steps(0.0, n, spec.v) == n
         assert prc.budget_steps(5e-324, n, 1e10) == n  # v^2 / per_step overflows
         inc = law.sample(prc.make_generator(seed, 0), (m, n))  # the paths of chunk 0
-        steps = np.arange(1, n + 1, dtype=float)
-        hits = sum(prc.event_hit(prc.PathRecord(row, np.cumsum(row), 0.5 * steps, 0.0 * steps,
-                                                float(row.max())), spec)
-                   for row in inc)
+        hits = sum(exact_hit(row, law.truncated_second_moment(spec.y), spec) for row in inc)
         assert hits == sum(row.max() == 1.0 for row in inc)
         assert mc.estimate_event(law, spec, n, m, seed).hits == hits

@@ -1,11 +1,14 @@
 """Exact first-passage oracle: DP vs enumeration, closed-form cases, caps."""
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from reference import exact_hit
 from smbounds import oracle as orc
 from smbounds import processes as prc
 from smbounds import suites
@@ -165,21 +168,23 @@ class TestDpInternals:
             assert defect <= 1e-12
 
     def test_states_match_the_reference_loop(self):
-        # the same surviving states, with their exact sums correctly rounded,
-        # hence the same absorption decisions; masses are summed in another
-        # order, so they may differ by a few ulps per step
+        # the surviving counts j < live are the reference's states, whose
+        # exact sums are j*a + (n - j)*b, hence the same absorption decisions;
+        # masses are summed in another order, so they may differ by a few ulps
+        # per step
         rng = np.random.default_rng(13)
         laws = TestDpVsEnumeration.LAWS + [
             orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
             for spec in ("bounded:0.45", "drifted:0.5,0.1")]
         for law in laws:
+            fa, fb = (Fraction(v) for v, _ in sorted(law.atoms, reverse=True))
             for n in (1, 5, 40, 120):
                 x = float(rng.uniform(-1.0, 0.6 * n))
                 absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
                 ref_cum, ref_final = _reference_dp(law, n, x)
-                assert [s for s, _ in final] == [float(s) for s in sorted(ref_final)]
-                assert np.allclose([p for _, p in final],
-                                   [ref_final[s] for s in sorted(ref_final)], rtol=0, atol=1e-14)
+                sums = [j * fa + (n - j) * fb for j in range(len(final))]
+                assert sums == sorted(ref_final)
+                assert np.allclose(final, [ref_final[s] for s in sums], rtol=0, atol=1e-14)
                 assert np.allclose(absorbed_cum, ref_cum, rtol=0, atol=1e-14)
 
     def test_nesting_invariant(self):
@@ -381,6 +386,53 @@ def test_non_dyadic_boundary_value_is_exact():
     (_, p), _ = law.atoms
     assert res.p_stopped == pytest.approx(p + (1 - p) * p, abs=1e-15)
     assert res.p_final == pytest.approx(p * p * (3 - 2 * p), abs=1e-15)
+
+
+class TestPerPathReference:
+    """Each of the oracle's probabilities is the sum, over all 2^n paths, of
+    the path probabilities where `reference.exact_hit` decides the event from
+    the path's exact partial sums; it shares only `budget_steps` with the DP."""
+
+    VARIANTS = (prc.EventVariant.STOPPED_ANY_K, prc.EventVariant.MAX_WITH_FINAL_QC,
+                prc.EventVariant.FINAL_ONLY)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_oracle_is_the_weighted_path_count(self, n):
+        for law in suites._corpus_laws() + [prc.parse_law("bounded:0.45")]:
+            m2 = law.second_moment()
+            paths = [([val for val, _ in path], math.prod(p for _, p in path))
+                     for path in itertools.product(law.atoms(), repeat=n)]
+            for x in (0.1, 0.3 * n, 1.0, float(n)):
+                for scale in (0.5, 1.0000001):
+                    v = math.sqrt(n * m2 * scale)
+                    res = orc.exact_event_probability(
+                        orc.LatticeLaw.from_increment_law(law), n, x, v)
+                    for variant, p in zip(self.VARIANTS, (res.p_stopped, res.p_max, res.p_final)):
+                        spec = prc.EventSpec(x, v, variant)
+                        want = math.fsum(prob for inc, prob in paths if exact_hit(inc, m2, spec))
+                        assert p == pytest.approx(want, rel=0, abs=1e-12)
+
+
+class TestDeepTailDefects:
+    """Known wrong answers of the linear-space oracle on extremal:0.5 with
+    v^2 = n m2, where the probability is below the smallest normal double.
+    The log-space oracle is to make both pass, and then drop the marks."""
+
+    LAW = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
+
+    def _p_stopped(self, n, x):
+        return orc.exact_event_probability(self.LAW, n, x, math.sqrt(n * self.LAW.m2)).p_stopped
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="p_stopped is the rounding residue 1.98e-321; the truth is ~e^-846")
+    def test_no_subnormal_leaves_the_oracle(self):
+        p = self._p_stopped(10**4, 0.3 * 10**4)
+        assert not 0.0 < p < sys.float_info.min
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="(1/3)^2000, the all-ones path, underflows to p_stopped = 0.0")
+    def test_positive_probability_is_not_zero(self):
+        assert self._p_stopped(2000, 2000.0) > 0.0
 
 
 class TestExactVsBound:

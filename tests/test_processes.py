@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from reference import exact_hit
 from smbounds import montecarlo as mc
 from smbounds import processes as prc
 
@@ -186,64 +187,29 @@ class TestSampling:
         assert abs(inc.mean()) < 4.0 * math.sqrt(0.5 / 10**4)
 
 
-class TestSimulatePath:
-    def test_deterministic(self):
-        law = prc.TwoPointExtremal(0.5)
-        a = prc.simulate_path(law, 10, seed=42)
-        b = prc.simulate_path(law, 10, seed=42)
-        assert np.array_equal(a.increments, b.increments)
-        assert np.array_equal(a.partial_sums, b.partial_sums)
-
-    def test_record_contents(self):
-        law = prc.TwoPointBounded(0.5)
-        path = prc.simulate_path(law, 8, seed=7, y=0.75)
-        assert len(path) == 8
-        assert np.allclose(path.partial_sums, np.cumsum(path.increments))
-        assert np.allclose(path.qc, 0.5 * np.arange(1, 9))
-        assert np.all(np.diff(path.qc) > 0)
-        assert np.all(path.trunc_var <= path.qc + 1e-15)
-        assert path.max_increment == path.increments.max()
-
-    def test_no_trunc_var_without_y(self):
-        path = prc.simulate_path(prc.TwoPointBounded(0.5), 3, seed=1)
-        assert path.trunc_var is None
-
-
-def _manual_path(increments, m2, trunc_rate=None):
-    inc = np.asarray(increments, dtype=float)
-    steps = np.arange(1, len(inc) + 1, dtype=float)
-    return prc.PathRecord(
-        increments=inc,
-        partial_sums=np.cumsum(inc),
-        qc=m2 * steps,
-        trunc_var=trunc_rate * steps if trunc_rate is not None else None,
-        max_increment=float(inc.max()),
-    )
-
-
 class TestEventHit:
     def test_boundary_hit_at_first_step_is_inclusive(self):
-        path = _manual_path([1.0, -1.0], m2=1.0)
         spec = prc.EventSpec(1.0, 1.0, prc.EventVariant.STOPPED_ANY_K)
-        assert prc.event_hit(path, spec)
+        assert exact_hit([1.0, -1.0], 1.0, spec)
 
     def test_budget_exceeded_at_the_only_reach(self):
         # X first reaches x at k=1 but the budget is already blown there
-        path = _manual_path([1.0, -1.0], m2=1.0)
+        inc = [1.0, -1.0]
         spec = prc.EventSpec(1.0, 0.7, prc.EventVariant.STOPPED_ANY_K)  # v^2 < m2
-        assert not prc.event_hit(path, spec)
+        assert not exact_hit(inc, 1.0, spec)
         max_spec = prc.EventSpec(1.0, 0.7, prc.EventVariant.MAX_WITH_FINAL_QC)
-        assert not prc.event_hit(path, max_spec)
-        assert path.partial_sums.max() >= 1.0
+        assert not exact_hit(inc, 1.0, max_spec)
+        assert np.cumsum(inc).max() >= 1.0
 
     def test_nesting_implications_on_random_paths(self):
         law = prc.TwoPointBounded(1.0)
+        m2, ev = law.second_moment(), prc.EventVariant
         for seed in range(200):
-            path = prc.simulate_path(law, 12, seed=seed)
+            inc = law.sample(prc.make_generator(seed), (12,))
             for x, v in [(2.0, 3.0), (0.0, 3.5), (4.0, 3.6), (1.0, 2.0)]:
-                final = prc.event_hit(path, prc.EventSpec(x, v, prc.EventVariant.FINAL_ONLY))
-                max_qc = prc.event_hit(path, prc.EventSpec(x, v, prc.EventVariant.MAX_WITH_FINAL_QC))
-                stopped = prc.event_hit(path, prc.EventSpec(x, v, prc.EventVariant.STOPPED_ANY_K))
+                final = exact_hit(inc, m2, prc.EventSpec(x, v, ev.FINAL_ONLY))
+                max_qc = exact_hit(inc, m2, prc.EventSpec(x, v, ev.MAX_WITH_FINAL_QC))
+                stopped = exact_hit(inc, m2, prc.EventSpec(x, v, ev.STOPPED_ANY_K))
                 assert (not final) or max_qc
                 assert (not max_qc) or stopped
 
@@ -255,23 +221,15 @@ class TestEventHit:
         assert prc.budget_steps(0.25, 3, v) == 3
         assert prc.budget_steps(0.25, 2, v) == 2  # capped at the horizon
         assert prc.budget_steps(0.25, 3, math.sqrt(0.75 * (1 - 1e-6))) == 2
-        path = _manual_path([-0.25, 1.0, 1.0], m2=0.25)
+        inc = [-0.25, 1.0, 1.0]
         law = prc.TwoPointExtremal(0.25)
         for variant in (prc.EventVariant.STOPPED_ANY_K, prc.EventVariant.MAX_WITH_FINAL_QC,
                         prc.EventVariant.FINAL_ONLY):
             spec = prc.EventSpec(1.0, v, variant)
-            assert prc.event_hit(path, spec)
+            assert exact_hit(inc, 0.25, spec)
             steps, _ = mc.event_test(law, spec, 3)
-            flags = np.any(path.partial_sums[None, steps] >= spec.x, axis=1)
+            flags = np.any(np.cumsum(inc)[None, steps] >= spec.x, axis=1)
             assert flags.tolist() == [True]
-
-    def test_truncated_requires_trunc_var(self):
-        path = _manual_path([1.0], m2=1.0)
-        spec = prc.EventSpec(0.5, 1.0, prc.EventVariant.TRUNCATED_ANY_K, y=2.0)
-        with pytest.raises(ValueError):
-            prc.event_hit(path, spec)
-        path_t = _manual_path([1.0], m2=1.0, trunc_rate=0.5)
-        assert prc.event_hit(path_t, spec)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -300,15 +258,7 @@ class TestEventHit:
                     flags = np.any(stat[:, cols] >= levels, axis=1)
                     seen.update(flags.tolist())
                     for i in range(64):
-                        steps = np.arange(1, 10, dtype=float)
-                        path = prc.PathRecord(
-                            increments=inc[i],
-                            partial_sums=np.cumsum(inc[i]),
-                            qc=law.second_moment() * steps,
-                            trunc_var=per_step * steps if y else None,
-                            max_increment=float(inc[i].max()),
-                        )
-                        assert flags[i] == prc.event_hit(path, spec)
+                        assert flags[i] == exact_hit(inc[i], per_step, spec)
         assert seen == {False, True}
 
 

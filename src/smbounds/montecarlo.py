@@ -22,19 +22,24 @@ the units not yet started are cancelled and the failure reaches the caller.
 A worker draws its range in row blocks of about BLOCK_ELEMS steps.  The
 generator fills rows in order, so the blocks concatenate to the range drawn at
 once, and hit counts do not depend on the block size.  Each block's running
-statistic is taken once and every event is tested on it against the steps and
-levels `event_test` fixed for the call, so memory is O(workers x block) for
-any n and number of trials.  On a two-point law {a > b} the statistic is the
-int32 count of a-steps, from the same uniforms the law's `sample` maps to
-atoms, compared with the exact thresholds j*_k of `processes.count_thresholds`
-(the oracle's states and thresholds), so no float sum decides a path that
-lands on x; other laws sum float increments in place.
+statistic is taken once and each distinct test of `event_test` is made on it
+once (max and stopped share one when the budget covers the horizon), so memory
+is O(workers x block) for any n and number of trials.  On a two-point law
+{a > b} the statistic is the int32 count of a-steps, compared with the exact
+thresholds j*_k of `processes.count_thresholds` (the oracle's states and
+thresholds), so no float sum decides a path that lands on x; other laws sum
+float increments in place.  An a-step is a raw Philox output r at most
+ceil(p * 2^53) * 2^11 - 1, so that `random()`, (r >> 11) * 2^-53, is below p.
+Blocks of fewer steps than paths (n < 256) hold their counts step-major, so
+the running count and the tests on `stat.T` run along whole rows of paths.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -132,16 +137,31 @@ class NestedEstimates:
     nesting_ok: bool  # final => max => stopped held on every path
 
 
+def _last_up_output(p: float) -> int:
+    """The largest raw r with (r >> 11) * 2^-53 < p: the integer r >> 11 < p * 2^53 exactly
+    when r >> 11 < ceil(p * 2^53), that is r < ceil(p * 2^53) * 2^11, at most 2^64 at p <= 1."""
+    return math.ceil(Fraction(p) * 2**53) * 2**11 - 1
+
+
 def sample_statistic(law: IncrementLaw, rng: np.random.Generator, shape) -> np.ndarray:
     """The running statistic of `shape` = (paths, n) freshly drawn paths that
-    `event_test` applies to: on a two-point law the int32 count of
-    upper-atom steps, taken from the same uniforms `sample` maps to the atoms
-    (so the same paths); otherwise the float partial sums, summed in place."""
+    `event_test` applies to: on a two-point law the int32 count of upper-atom
+    steps, decided on the raw output behind each uniform `sample` compares
+    with p (`_last_up_output`, so the same paths), stored step-major as the
+    transpose view of a contiguous (n, paths) array when n < paths; otherwise
+    the float partial sums, summed in place."""
     atoms = law.atoms()
     if atoms is None:
         block = law.sample(rng, shape)
         return np.cumsum(block, axis=1, out=block)
-    return np.cumsum(rng.random(shape) < atoms[0][1], axis=1, dtype=np.int32)
+    paths, n = shape
+    ups = rng.bit_generator.random_raw(shape) <= np.uint64(_last_up_output(atoms[0][1]))
+    if n >= paths:
+        return np.cumsum(ups, axis=1, dtype=np.int32)
+    counts = ups.T.astype(np.int32, order="C")  # by rows: a cumsum down axis 0 is slower
+    for k in range(1, n):
+        counts[k] += counts[k - 1]
+    return counts.T
 
 
 def event_test(law: IncrementLaw, spec: EventSpec, n: int) -> tuple[slice, np.ndarray]:
@@ -203,22 +223,22 @@ def _unit_generator(seed: int, chunk: int, first: int, n: int) -> np.random.Gene
 
 
 def _unit_hits(
-    law: IncrementLaw, tests: Sequence[tuple[slice, np.ndarray]], n: int, seed: int,
-    unit: tuple[int, int, int],
+    law: IncrementLaw, tests: Sequence[tuple[slice, np.ndarray]], index: Sequence[int],
+    n: int, seed: int, unit: tuple[int, int, int],
 ) -> tuple[list[int], bool]:
-    """Hit counts and the nesting flag of one work unit."""
+    """Hit counts of each spec, decided by tests[index[spec]], and the nesting flag of one unit."""
     chunk, first, end = unit
     rng = _unit_generator(seed, chunk, first, n)
     rows = max(1, BLOCK_ELEMS // n)
     counts = [0] * len(tests)
+    pairs = [(a, b) for a, b in zip(index, index[1:]) if a != b]
     nesting_ok = True
     for done in range(first, end, rows):
-        stat = sample_statistic(law, rng, (min(rows, end - done), n))
-        flags = [np.any(stat[:, steps] >= levels, axis=1) for steps, levels in tests]
-        for i, hit in enumerate(flags):
-            counts[i] += int(np.count_nonzero(hit))
-        nesting_ok = nesting_ok and all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))
-    return counts, nesting_ok
+        by_step = sample_statistic(law, rng, (min(rows, end - done), n)).T
+        flags = [np.any(by_step[steps] >= levels[:, None], axis=0) for steps, levels in tests]
+        counts = [c + int(np.count_nonzero(hit)) for c, hit in zip(counts, flags)]
+        nesting_ok = nesting_ok and all(np.all(flags[b] | ~flags[a]) for a, b in pairs)
+    return [counts[i] for i in index], nesting_ok
 
 
 def _count_hits(
@@ -235,9 +255,12 @@ def _count_hits(
     from concurrent.futures import ThreadPoolExecutor  # kept off the import path
 
     tests = [event_test(law, spec, n) for spec in specs]
+    keys = [(steps.indices(n), levels.tobytes()) for steps, levels in tests]
+    distinct = dict(zip(keys, tests))  # specs with the same steps and levels share a test
+    index, tests = [list(distinct).index(key) for key in keys], list(distinct.values())
     workers = _workers()
     with ThreadPoolExecutor(workers) as pool:
-        per_unit = list(pool.map(lambda unit: _unit_hits(law, tests, n, seed, unit),
+        per_unit = list(pool.map(lambda unit: _unit_hits(law, tests, index, n, seed, unit),
                                  _units(law, trials, workers)))
     unit_counts, unit_flags = zip(*per_unit)
     return [sum(column) for column in zip(*unit_counts)], all(unit_flags)

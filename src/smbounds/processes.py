@@ -195,7 +195,9 @@ class CenteredExponential:
         return -lam + math.log(2.0 / mu**3 - 2.0 / mu**2 + 1.0 / mu)
 
     def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        return rng.standard_exponential(shape) - 1.0
+        block = rng.standard_exponential(shape)
+        block -= 1.0
+        return block
 
     def label(self) -> str:
         return "cexp"

@@ -7,6 +7,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from reference import exact_hit
 from smbounds import montecarlo as mc
 from smbounds import oracle as orc
 from smbounds import processes as prc
+from smbounds import suites
 from smbounds.bounds import LogProb, TailQuery, hoeffding
 
 RADEMACHER = prc.TwoPointBounded(1.0)
@@ -207,6 +209,93 @@ class TestRowBlocks:
         assert peak <= 8 * mc.BLOCK_ELEMS * 8  # 16 MB; about 4 MB observed
 
 
+class TestBlockLayout:
+    """Two-point blocks with fewer steps than paths hold their counts step by
+    step, the others path by path; either way each unit counts what float
+    uniforms below p, summed along rows, count on the same rows."""
+
+    @staticmethod
+    def _reference(law, specs, n, trials, seed, workers):
+        p = law.atoms()[0][1]
+        tests = [mc.event_test(law, spec, n) for spec in specs]
+        counts, nesting_ok = [0] * len(specs), True
+        for chunk, first, end in mc._units(law, trials, workers):
+            rng = mc._unit_generator(seed, chunk, first, n)
+            stat = np.cumsum(rng.random((end - first, n)) < p, axis=1)
+            flags = [np.any(stat[:, steps] >= levels, axis=1) for steps, levels in tests]
+            counts = [c + int(f.sum()) for c, f in zip(counts, flags)]
+            nesting_ok &= all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))
+        return counts, nesting_ok
+
+    @pytest.mark.parametrize("text", ["extremal:1", "bounded:0.45"])
+    @pytest.mark.parametrize("n, trials", [(255, 1000), (256, 1000), (257, 1000), (20, 6576)])
+    def test_counts_match_the_reference_kernel(self, monkeypatch, text, n, trials):
+        # BLOCK_ELEMS // n rows is 257, 256 and 255 at n = 255, 256 and 257, so
+        # only n = 255 has step-major blocks; each unit's last block (243-245
+        # rows at n >= 255, 12 rows at n = 20) has fewer rows than n
+        monkeypatch.setattr(mc, "_workers", lambda: 2)
+        law = prc.parse_law(text)
+        m2 = law.second_moment()
+        x, v = 0.5 * math.sqrt(n), math.sqrt(n * m2 * (1 + 1e-7))
+        v_half = math.sqrt(n // 2 * m2 * (1 + 1e-7))
+        # max and stopped share a test within the whole-horizon budget, max at
+        # 2x has its steps and other levels; max never holds within half of it
+        specs = [prc.EventSpec(x, v_half, MAX), prc.EventSpec(2 * x, v, FINAL),
+                 prc.EventSpec(2 * x, v, MAX), prc.EventSpec(x, v, MAX),
+                 prc.EventSpec(x, v, STOPPED), prc.EventSpec(x, v_half, STOPPED)]
+        counts, nesting_ok = mc._count_hits(law, specs, n, trials, seed=13)
+        assert (counts, nesting_ok) == self._reference(law, specs, n, trials, 13, 2)
+        assert counts[0] == 0 < counts[1] < counts[2] < counts[3] == counts[4]
+        assert counts[5] > 0 and not nesting_ok  # some path reaches x only after step n // 2
+        assert mc._count_hits(law, specs[:5], n, trials, seed=13) == (counts[:5], True)
+
+    @pytest.mark.parametrize("paths, n", [(257, 255), (256, 256), (255, 257), (12, 20), (3, 1)])
+    def test_only_blocks_wider_than_long_are_step_major(self, paths, n):
+        stat = mc.sample_statistic(RADEMACHER, prc.make_generator(2), (paths, n))
+        assert stat.shape == (paths, n) and stat.T.flags.c_contiguous == (n < paths)
+
+
+class TestRawCut:
+    """Philox's raw output r gives the uniform (r >> 11) * 2^-53, so a step is
+    an up step exactly when r <= ceil(p * 2^53) * 2^11 - 1."""
+
+    # p_hi of extremal:1e17 rounds to 1.0; then the last up output is 2^64 - 1
+    PROBS = list(dict.fromkeys(
+        [0.5, 0.45, 1 / 3, 2.0**-60, 1 - 2.0**-53, 12345 * 2.0**-53, 1.0]
+        + [law.atoms()[0][1] for law in suites._corpus_laws()]
+        + [inst.law.atoms()[0][1] for inst in suites.mc_corpus() if inst.law.atoms()]))
+
+    def test_the_uniform_is_the_top_53_bits(self):
+        raw = prc.make_generator(3, 1).bit_generator.random_raw(1 << 17)
+        assert np.array_equal(prc.make_generator(3, 1).random(1 << 17),
+                              (raw >> np.uint64(11)) * 2.0**-53)
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_raw_comparison_is_the_uniform_comparison(self, p):
+        last = mc._last_up_output(p)
+        raw = prc.make_generator(7, 2).bit_generator.random_raw(1 << 17)
+        assert np.array_equal(raw <= last, prc.make_generator(7, 2).random(1 << 17) < p)
+
+    @pytest.mark.parametrize("p", PROBS)
+    def test_edges_of_the_cut(self, p):
+        cut = math.ceil(Fraction(p) * 2**53) * 2**11
+        assert mc._last_up_output(p) == cut - 1 < 2**64
+        edges = []
+        for r, up in ((cut - 1, True), (cut, False), (cut - 2**11, True),
+                      (cut + 2**11 - 1, False)):
+            if 0 <= r < 2**64:
+                assert ((r >> 11) * 2.0**-53 < p) is up
+                edges.append((r, up))
+        # sample_statistic itself, on these raw outputs, in both layouts
+        raw = np.array([r for r, _ in edges], dtype=np.uint64)
+        ups = np.array([up for _, up in edges])
+        rng = SimpleNamespace(bit_generator=SimpleNamespace(
+            random_raw=lambda shape: raw.reshape(shape)))
+        law = prc.TwoPoint(1.0, -1.0, p, max(1.0 - p, 1e-13), "edges")
+        assert np.array_equal(mc.sample_statistic(law, rng, (len(raw), 1))[:, 0], ups)
+        assert np.array_equal(mc.sample_statistic(law, rng, (1, len(raw)))[0], np.cumsum(ups))
+
+
 class TestWorkers:
     """Counts are summed in unit order, so the number of threads that run the
     units never moves a hit count or the nesting flag."""
@@ -339,6 +428,17 @@ class TestPinnedHits:
                  prc.EventSpec(6.0, math.sqrt(40.0), MAX)]
         ests = mc.estimate_events(law, specs, 20, mc.CHUNK_SIZE + 137, seed=20240105)
         assert [e.hits for e in ests] == [6507, 10091, 10091]
+
+    @pytest.mark.parametrize("law, n, x, v2, seed, hits", [
+        (prc.TwoPointBounded(0.5), 20, 4.0, 10.0, 20240103, (6036, 13446, 13446)),
+        (prc.TwoPointExtremal(1.0), 50, 8.0, 50.0, 20240101, (10522, 17181, 17181)),
+    ])
+    def test_step_major_blocks(self, law, n, x, v2, seed, hits):
+        # mc corpus instances, whose blocks are wider than they are long
+        nested = mc.nested_event_estimates(law, x, math.sqrt(v2 * 1.0000001), n,
+                                           mc.CHUNK_SIZE + 137, seed)
+        assert (nested.final.hits, nested.max_qc.hits, nested.stopped.hits) == hits
+        assert nested.nesting_ok
 
     def test_non_dyadic_boundary_instance(self):
         # one up and two down steps sum to 1 + 2 * (-0.45) < 0.1 exactly, in

@@ -310,8 +310,7 @@ def cmd_simulate(p: dict[str, Any]) -> int:
     except ValueError:
         names = sorted(v.value for v in EventVariant)
         raise ValueError(f"unknown event {p['event']!r}; choose from {names}") from None
-    y = p["y"] if variant is EventVariant.TRUNCATED_ANY_K else None
-    spec = EventSpec(p["x"], p["v"], variant, y=y)
+    spec = EventSpec(p["x"], p["v"], variant, y=p["y"])
     est = mc.estimate_event(law, spec, p["n"], p["trials"], p["seed"], p["gamma"])
     checks = []
     flagged = False
@@ -324,7 +323,7 @@ def cmd_simulate(p: dict[str, Any]) -> int:
         "command": "simulate",
         "law": law.label(),
         "event": p["event"],
-        "x": p["x"], "v": p["v"], "n": p["n"], "y": y,
+        "x": p["x"], "v": p["v"], "n": p["n"], "y": spec.y,
         "trials": p["trials"], "seed": p["seed"], "gamma": p["gamma"],
         "estimate": {"hits": est.hits, "p_hat": est.p_hat,
                      "ci_low": est.ci_low, "ci_high": est.ci_high},
@@ -334,7 +333,7 @@ def cmd_simulate(p: dict[str, Any]) -> int:
         doc["one_sided"] = f"p <= {fmt(est.ci_high)}"
     if p["format"] == "csv":
         rows = []
-        base = dict(x=p["x"], v=p["v"], n=p["n"], y=y, p_hat=est.p_hat,
+        base = dict(x=p["x"], v=p["v"], n=p["n"], y=spec.y, p_hat=est.p_hat,
                     ci_low=est.ci_low, ci_high=est.ci_high, seed=p["seed"])
         if checks:
             for c in checks:

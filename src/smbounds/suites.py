@@ -3,7 +3,7 @@ forms, variational cross-checks, the exact-oracle corpus, and the Monte Carlo
 corpus.  The CLI `verify` command and the acceptance tests run these same
 functions, so a pass here is the artifact's health check.  The oracle and mc
 suites and `simulate` take the bounds a (law, event) pair admits from
-`applicable_checks`; the mc suite adds two checks under their own hypotheses.
+`applicable_checks`, and from nowhere else.
 """
 
 from __future__ import annotations
@@ -385,16 +385,19 @@ def applicable_checks(law: IncrementLaw, spec: EventSpec, n: int) -> list[tuple[
 
     Every bound needs x >= 0 and a mean <= 0 (within 1e-12).  For laws bounded
     above by 1 every event variant sits inside the stopped event, so the full
-    family applies; bounded-below laws add the range-based pair; truncated
-    events use the two-term truncation bound with the law's exact exceedance
-    probability.
+    family applies; bounded-below laws add the range-based pair.  Truncated
+    events get the two truncation bounds with the law's exact exceedance
+    probabilities: `fuk_nagaev` with P(some step > y), and `courbot` with
+    n P(xi > y) and an overflow term of 0, since the event already holds the
+    truncated variance budget.
     """
     if spec.x < 0 or law.mean() > 1e-12:
         return []  # the bounds claim nothing below 0 or for a positive drift
     if spec.variant is EventVariant.TRUNCATED_ANY_K:
-        _, p_max = exceedance_tail(law, spec.y, n)
+        per_step, p_max = exceedance_tail(law, spec.y, n)
         fn = bnd.fuk_nagaev(spec.x, spec.y, spec.v, n, p_max)
-        return [("fuk_nagaev", fn.total)]
+        return [("fuk_nagaev", fn.total),
+                ("courbot", bnd.courbot(spec.x, spec.y, spec.v, n * per_step, 0.0))]
     if law.support_max > 1.0:
         return []
     return bnd.core_bounds(bnd.TailQuery(spec.x, spec.v, n)) + _range_bounds(law, spec.x, n)
@@ -433,38 +436,20 @@ def suite_mc(trials: int = 10**6, gamma: float = 0.999) -> SuiteReport:
     rep = SuiteReport("mc")
     for inst in mc_corpus():
         label = f"{inst.law.label()} n={inst.n} x={inst.x:g}"
-        if inst.y is not None:
+        if inst.y is None:
+            nested = mc.nested_event_estimates(inst.law, inst.x, inst.v, inst.n, trials,
+                                               inst.seed, gamma)
+            rep.add(f"{label} per-path event nesting", nested.nesting_ok)
+            # the stopped event sits inside the running max the range pair bounds
+            est = nested.stopped
+        else:
+            label += f" truncated(y={inst.y:g})"
             spec = EventSpec(inst.x, inst.v, EventVariant.TRUNCATED_ANY_K, y=inst.y)
-            # the three-term bound covers the plain running maximum, estimated
-            # on the same paths
-            plain_max = EventSpec(inst.x, math.sqrt(2 * inst.n * inst.law.second_moment()),
-                                  EventVariant.MAX_WITH_FINAL_QC)
-            est, est_max = mc.estimate_events(inst.law, [spec, plain_max], inst.n, trials,
-                                              inst.seed, gamma)
-            for name, bound in applicable_checks(inst.law, spec, inst.n):
-                check = mc.verify_bound(est, bound)
-                rep.add(f"{label} truncated(y={inst.y:g}) vs {name}", check.verdict == "PASS",
-                        f"p_hat={est.p_hat:.3e} ci_high={est.ci_high:.3e} bound={bound.value:.3e}")
-            per_step, _ = exceedance_tail(inst.law, inst.y, inst.n)
-            cb = bnd.courbot(inst.x, inst.y, inst.v, inst.n * per_step, 0.0)
-            check = mc.verify_bound(est_max, cb)
-            rep.add(f"{label} running max vs courbot", check.verdict == "PASS",
-                    f"p_hat={est_max.p_hat:.3e} bound={cb.value:.3e}")
-            continue
-
-        nested = mc.nested_event_estimates(inst.law, inst.x, inst.v, inst.n, trials,
-                                           inst.seed, gamma)
-        rep.add(f"{label} per-path event nesting", nested.nesting_ok)
-        # the stopped event sits inside the running max the range pair bounds
-        est = nested.stopped
+            est = mc.estimate_event(inst.law, spec, inst.n, trials, inst.seed, gamma)
         for name, bound in applicable_checks(inst.law, est.spec, inst.n):
             check = mc.verify_bound(est, bound)
             rep.add(f"{label} vs {name}", check.verdict == "PASS",
                     f"p_hat={est.p_hat:.3e} ci_low={est.ci_low:.3e} bound={bound.value:.3e}")
-        if inst.law.mean() >= -1e-15 and cml.check_tilted_second_moment(inst.law, LAMBDA_GRID):
-            check = mc.verify_bound(est, bnd.freedman(inst.x, inst.v))
-            rep.add(f"{label} vs horizon-free bound under the tilt condition",
-                    check.verdict == "PASS")
     return rep
 
 

@@ -205,6 +205,13 @@ class TestTruncationFamily:
         assert close(bnd.freedman(8.0, 1.0).value, F_8_1, rel=1e-12)
         assert bnd.freedman(8.0, 1.0).value <= lp.value
 
+    @given(st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
+    @settings(max_examples=500)
+    def test_haeusler_above_rescaled_f(self, x, y, v):
+        # with X = x/y, V = v/y the gap is X log(1 + V^2/X) + V^2 log(1 + X/V^2) > 0,
+        # so haeusler can never fail where courbot, same exceedance term, passes
+        assert bnd.haeusler(x, y, v).log_value >= bnd.freedman(x / y, v / y).log_value
+
 
 class TestIndependentCaseForms:
     def test_bennett_classic(self):

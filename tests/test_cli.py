@@ -196,7 +196,7 @@ class TestSimulateCommand:
                             "--y", "3", "--trials", "100000", "--seed", "6"], capsys)
         assert code == 0
         doc = json.loads(out)
-        assert [c["bound_name"] for c in doc["checks"]] == ["fuk_nagaev"]
+        assert [c["bound_name"] for c in doc["checks"]] == ["fuk_nagaev", "courbot"]
         assert doc["checks"][0]["verdict"] == "PASS"
 
     def test_unbounded_law_plain_event_has_no_bounds(self, capsys):
@@ -222,6 +222,13 @@ class TestSimulateCommand:
         code, _, _ = run(["simulate", "--law", "cexp", "--event", "truncated",
                           "--x", "1", "--v", "1", "--n", "2"], capsys)
         assert code == 2
+
+    def test_y_on_untruncated_event_is_usage_error(self, capsys):
+        code, out, err = run(["simulate", "--law", "extremal:1", "--event", "stopped",
+                              "--x", "3", "--v", "3", "--n", "8", "--y", "2",
+                              "--trials", "10"], capsys)
+        assert code == 2 and out == ""
+        assert err == "smbounds simulate: y only applies to truncated events, got y=2.0\n"
 
 
 @pytest.mark.parametrize("argv", [

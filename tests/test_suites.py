@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from smbounds import bounds as bnd
 from smbounds import suites
 from smbounds.processes import (
     CenteredExponential,
@@ -36,7 +37,22 @@ def test_supermartingale_range_pair_needs_b_at_most_1():
 def test_unbounded_law():
     assert names(CenteredExponential()) == []
     assert names(CenteredExponential(), variant=EventVariant.TRUNCATED_ANY_K,
-                 y=3.0) == ["fuk_nagaev"]
+                 y=3.0) == ["fuk_nagaev", "courbot"]
+
+
+# atom 3 above y = 1 and below y = 4; mean 3/4 - 3/4 = 0
+TALL = TwoPoint(3.0, -1.0, 0.25, 0.75, "tall")
+
+
+@pytest.mark.parametrize("law, y", [(CenteredExponential(), 3.0), (TALL, 1.0), (TALL, 4.0)])
+def test_truncation_pair_values(law, y):
+    x, v, n = 6.0, math.sqrt(20.0), 20
+    spec = EventSpec(x, v, EventVariant.TRUNCATED_ANY_K, y=y)
+    checks = dict(suites.applicable_checks(law, spec, n))
+    # the event holds the truncated budget, so Courbot's overflow term is 0
+    want = bnd.courbot(x, y, v, n * law.exceed_prob(y), 0.0)
+    assert checks["courbot"].log_value == want.log_value
+    assert checks["fuk_nagaev"].log_value <= checks["courbot"].log_value
 
 
 def test_negative_threshold_claims_nothing():
@@ -81,3 +97,22 @@ def test_exact_vs_bound_compares_with_the_applicable_list():
         comp = suites.exact_vs_bound(law, n, x, v)
         assert list(comp.bound_values) == names(law, x, v, n)
         assert comp.valid
+
+
+def test_suite_mc_takes_every_bound_from_applicable_checks(monkeypatch):
+    real = suites.applicable_checks
+    returned = []
+
+    def recording(law, spec, n):
+        checks = real(law, spec, n)
+        returned.append((f"{law.label()} n={n} x={spec.x:g}", [name for name, _ in checks]))
+        return checks
+
+    monkeypatch.setattr(suites, "applicable_checks", recording)
+    rep = suites.suite_mc(trials=4096)
+    labels = [c.label for c in rep.checks if not c.label.endswith("per-path event nesting")]
+    want = [(prefix, name) for prefix, picked in returned for name in picked]
+    assert len(returned) == len(suites.mc_corpus())
+    assert len(labels) == len(want)
+    for label, (prefix, name) in zip(labels, want):
+        assert label.startswith(prefix) and label.endswith(f" vs {name}")

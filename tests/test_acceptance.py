@@ -1,20 +1,17 @@
 """Acceptance gate: every criterion at its stated tolerance and time budget.
 
-Each test prints one `ACCEPTANCE <k> PASS/FAIL` line (visible with -s, or on
-failure); run `pytest tests/test_acceptance.py -v -s` for the full report.
+Criteria 1-5 and 8-10 read their checks from the `verify` suites, each run
+once per session; their time limits apply to the whole suite run.  Each test
+prints one `ACCEPTANCE <k> PASS/FAIL` line (visible with -s, or on failure);
+run `pytest tests/test_acceptance.py -v -s` for the full report.
 """
 
-import math
+import functools
+import re
 import time
-from fractions import Fraction
 
-import numpy as np
-
-from smbounds import bounds as bnd
 from smbounds import cli
-from smbounds import cumulant as cml
 from smbounds import suites
-from smbounds.processes import TwoPointExtremal, exact_mgf
 
 
 def _report(num, desc, ok, elapsed, limit):
@@ -24,93 +21,58 @@ def _report(num, desc, ok, elapsed, limit):
     assert elapsed < limit, f"criterion {num} over budget: {elapsed:.2f}s >= {limit}s"
 
 
-def test_criterion_1_dominance_chain():
+@functools.cache
+def _suite(name):
+    """One run of `suites.SUITES[name]`: its checks by label, and its wall time."""
     start = time.perf_counter()
-    points = 0
-    ok = True
-    slack = 1e-10
-    for q in suites.chain_grid():
-        points += 1
-        lh = bnd.hoeffding(q).log_value
-        lf = bnd.freedman(q.x, q.v).log_value
-        lb1 = bnd.bennett(q.x, q.v).log_value
-        lb2 = bnd.bernstein(q.x, q.v).log_value
-        if not (lh <= lf + slack and lf <= lb1 + slack and lb1 <= lb2 + slack):
-            ok = False
-    elapsed = time.perf_counter() - start
-    _report(1, f"dominance chain H <= F <= B1 <= B2 on {points} grid points",
-            ok and points >= 10**4, elapsed, 5.0)
+    rep = suites.SUITES[name]()
+    return {c.label: c for c in rep.checks}, time.perf_counter() - start
+
+
+def _gate(num, desc, name, prefixes, limit):
+    """Criterion `num` passes when, for each prefix, exactly one check of suite
+    `name` has a label starting with it, and that check passed.  Returns the
+    matched checks in prefix order."""
+    checks, elapsed = _suite(name)
+    found = [[c for label, c in checks.items() if label.startswith(p)] for p in prefixes]
+    failed = [p for p, cs in zip(prefixes, found) if len(cs) != 1 or not cs[0].passed]
+    details = "; ".join(f"{c.label}: {c.detail}" if c.detail else c.label
+                        for cs in found for c in cs)
+    _report(num, f"{desc} [{name} suite: {details}]"
+                 + (f" (failed: {failed})" if failed else ""), not failed, elapsed, limit)
+    return [cs[0] for cs in found]
+
+
+def _count(check):
+    """The first integer in a check's label: the number of points it covered."""
+    return int(re.search(r"\d+", check.label).group())
+
+
+def test_criterion_1_dominance_chain():
+    chain, = _gate(1, "dominance chain H <= F <= B1 <= B2", "chain", ["ordering chain on "], 5.0)
+    assert _count(chain) >= 10**4
 
 
 def test_criterion_2_limit_and_monotonicity():
-    start = time.perf_counter()
-    ok = True
-    for x in np.geomspace(0.1, 10.0, 25):
-        for v in np.geomspace(0.1, 10.0, 25):
-            x, v = float(x), float(v)
-            lh = bnd.hoeffding(bnd.TailQuery(x, v, 10**6)).log_value
-            lf = bnd.freedman(x, v).log_value
-            if abs(lh - lf) > 1e-3 * abs(lf):
-                ok = False
-            prev = -math.inf
-            for n in (1, 2, 5, 10, 100, 10**4, 10**6):
-                cur = bnd.hoeffding(bnd.TailQuery(x, v, n)).log_value
-                if cur < prev - 1e-10:
-                    ok = False
-                prev = cur
-    elapsed = time.perf_counter() - start
-    _report(2, "n=1e6 limit within 1e-3 of the horizon-free form; nondecreasing in n",
-            ok, elapsed, 5.0)
+    _gate(2, "n=1e6 limit within 1e-3 of the horizon-free form; nondecreasing in n", "chain",
+          ["bound nondecreasing in the horizon n", "large-n limit "], 5.0)
 
 
 def test_criterion_3_variational_identities():
-    start = time.perf_counter()
-    worst = 0.0
-    points = 0
-    for n in (2, 5, 10, 100):
-        for v in (0.5, 1.0, 2.0, 5.0, 10.0):
-            for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-                points += 1
-                x = frac * n
-                t = v * v / n
-                _, val = cml.minimize_tilt(lambda lam: -lam * x + n * cml.cgf_bound(lam, t), 1.0)
-                worst = max(worst, abs(val - bnd.hoeffding(bnd.TailQuery(x, v, n)).log_value))
-                v2 = v * v
-                _, val_f = cml.minimize_tilt(
-                    lambda lam: -lam * x + cml.cumulant_bound_linear(lam, v2), 1.0)
-                worst = max(worst, abs(val_f - bnd.freedman(x, v).log_value))
-    elapsed = time.perf_counter() - start
-    _report(3, f"closed forms match golden-section minima on {points} points "
-               f"(max gap {worst:.2e})", worst <= 1e-8, elapsed, 10.0)
+    _gate(3, "closed forms match golden-section minima", "variational",
+          ["closed form equals tilt minimization (horizon-n bound)",
+           "closed form equals tilt minimization (horizon-free bound)"], 10.0)
 
 
 def test_criterion_4_reduction_identity():
-    start = time.perf_counter()
-    worst = 0.0
-    combos = 0
-    for t in np.linspace(0.05, 0.95, 10):
-        for s2 in (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0):
-            for n in (1, 2, 3, 5, 8, 13, 25, 50):
-                combos += 1
-                li = bnd.hoeffding_independent(float(t), s2, n).log_value
-                lh = bnd.hoeffding(bnd.TailQuery(n * float(t), math.sqrt(n * s2), n)).log_value
-                worst = max(worst, abs(li - lh))
-    elapsed = time.perf_counter() - start
-    _report(4, f"independent-case reduction over {combos} combos (max gap {worst:.2e})",
-            worst <= 1e-12 and combos >= 500, elapsed, 2.0)
+    red, = _gate(4, "independent-case reduction", "variational",
+                 ["independent-case reduction identity ("], 2.0)
+    assert _count(red) >= 500
 
 
 def test_criterion_5_mgf_sharpness():
-    start = time.perf_counter()
-    worst = 0.0
-    for lam in np.linspace(0.0, 20.0, 41):
-        for s2 in np.geomspace(0.01, 10.0, 40):
-            exact = exact_mgf(TwoPointExtremal(float(s2)), float(lam))
-            est = cml.mgf_bound(float(lam), float(s2))
-            worst = max(worst, abs(exact - est) / est)
-    elapsed = time.perf_counter() - start
-    _report(5, f"extremal two-point MGF attains the estimate (max rel gap {worst:.2e})",
-            worst <= 1e-12, elapsed, 2.0)
+    _gate(5, "extremal two-point MGF attains the estimate", "cumulant",
+          ["MGF sharpness on the extremal law"], 2.0)
 
 
 def test_criterion_6_oracle_validity():
@@ -134,64 +96,19 @@ def test_criterion_7_monte_carlo_validity():
 
 
 def test_criterion_8_azuma_branch_claim():
-    start = time.perf_counter()
-    mismatches = 0
-    checked = 0
-    three_quarters = Fraction(3, 4)
-    factors = [Fraction(1, 2), Fraction(9, 10), Fraction(99, 100), Fraction(1),
-               Fraction(101, 100), Fraction(11, 10), Fraction(2)]
-    absolute = [Fraction(1, 10), Fraction(1), Fraction(10)]
-    for bk in range(1, 61):
-        b = Fraction(bk, 20)
-        for n in range(1, 101):
-            boundary = three_quarters * n * (1 - b) ** 2
-            for x in [boundary * c for c in factors] + absolute:
-                checked += 1
-                lhs = 4 * (n * b + x / 3) < n * (1 + b) ** 2
-                rhs = x < boundary
-                if lhs != rhs:
-                    mismatches += 1
-    elapsed = time.perf_counter() - start
-    _report(8, f"branch identity 4(nb+x/3) < n(1+b)^2 iff x < (3/4)n(1-b)^2 "
-               f"({checked} exact checks)", mismatches == 0, elapsed, 2.0)
+    _gate(8, "branch identity 4(nb+x/3) < n(1+b)^2 iff x < (3/4)n(1-b)^2", "variational",
+          ["denominator branch point ", "float branch picker "], 2.0)
 
 
 def test_criterion_9_cumulant_analysis():
-    start = time.perf_counter()
-    ok = True
-    h = 1e-4
-    ts = np.concatenate(([h], np.linspace(0.01, 10.0, 100)))
-    for lam in (0.1, 0.5, 1.0, 2.0, 5.0):
-        prev_ratio = math.inf
-        for t in ts:
-            t = float(t)
-            f0 = cml.cgf_bound(lam, t)
-            fp = cml.cgf_bound(lam, t + h)
-            fm = cml.cgf_bound(lam, t - h)
-            ok = ok and (fp - 2 * f0 + fm <= 1e-6)      # concavity
-            ok = ok and (fp - f0 > 0.0)                 # strict increase
-            ok = ok and (f0 / t <= prev_ratio + 1e-12)  # ratio decreasing
-            prev_ratio = f0 / t
-            ok = ok and f0 <= cml.cumulant_bound_linear(lam, t) + 1e-12
-    for lam in np.linspace(0.0, 10.0, 21):
-        for b in np.linspace(0.05, 5.0, 25):
-            ok = ok and (cml.cgf_bound(float(lam), float(b))
-                         <= cml.cgf_quadratic_bound(float(lam), float(b)) + 1e-12)
-    elapsed = time.perf_counter() - start
-    _report(9, "finite-difference shape, ratio decrease, linear and quadratic envelopes",
-            ok, elapsed, 5.0)
+    _gate(9, "finite-difference shape, ratio decrease, linear and quadratic envelopes",
+          "cumulant", ["concavity in t ", "strict increase in t ", "t -> bound/t nonincreasing",
+                       "linear envelope ", "quadratic envelope "], 5.0)
 
 
 def test_criterion_10_bennett_inverse_form():
-    start = time.perf_counter()
-    ok = True
-    for level in (0.5, 1.0, 2.0, 5.0, 10.0):
-        for v in (0.25, 1.0, 4.0):
-            threshold, _ = bnd.bennett_inverse(level, v)
-            if bnd.bennett(threshold, v).value > math.exp(-level) * (1.0 + 1e-12):
-                ok = False
-    elapsed = time.perf_counter() - start
-    _report(10, "threshold level/3 + v sqrt(2 level) attains e^-level", ok, elapsed, 1.0)
+    _gate(10, "threshold level/3 + v sqrt(2 level) attains e^-level", "variational",
+          ["inverse threshold "], 1.0)
 
 
 def test_criterion_11_cli_reproducibility(tmp_path):

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from smbounds import cli
+from smbounds import cli, suites
+from smbounds.processes import EventSpec, EventVariant, parse_law
 
 
 def run(argv, capsys):
@@ -230,6 +231,41 @@ class TestSimulateCommand:
         assert code == 2 and out == ""
         assert err == "smbounds simulate: y only applies to truncated events, got y=2.0\n"
 
+    def test_csv_rows_match_json(self, capsys):
+        args = ["simulate", "--law", "bounded:0.5", "--x", "2", "--v", "3", "--n", "10",
+                "--trials", "20000", "--seed", "7"]
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        code, out, _ = run(args + ["--format", "csv"], capsys)
+        assert code == 0
+        header, *lines = out.splitlines()
+        assert header == ",".join(cli.CSV_COLUMNS)
+        rows = [dict(zip(cli.CSV_COLUMNS, line.split(","))) for line in lines]
+        spec = EventSpec(2.0, 3.0, EventVariant.STOPPED_ANY_K)
+        names = [name for name, _ in suites.applicable_checks(parse_law("bounded:0.5"), spec, 10)]
+        assert [row["bound_name"] for row in rows] == names
+        assert [c["bound_name"] for c in doc["checks"]] == names
+        for row, check in zip(rows, doc["checks"]):
+            for key in ("p_hat", "ci_low", "ci_high"):
+                assert float(row[key]) == doc["estimate"][key]
+            assert float(row["log_value"]) == check["log_value"]
+            assert row["verdict"] == check["verdict"]
+
+    def test_csv_without_bounds_has_one_estimate_row(self, capsys):
+        args = ["simulate", "--law", "extremal:1", "--x", "-1", "--v", "3", "--n", "8",
+                "--trials", "1000"]
+        code, out, _ = run(args, capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["checks"] == []
+        code, out, _ = run(args + ["--format", "csv"], capsys)
+        assert code == 0
+        header, line = out.splitlines()
+        assert header == ",".join(cli.CSV_COLUMNS)
+        ci_low = cli.fmt(doc["estimate"]["ci_low"])
+        assert line == f"-1,3,8,,,,,,,1,{ci_low},1,,20240001"
+
 
 @pytest.mark.parametrize("argv", [
     ["compare"],
@@ -253,6 +289,12 @@ class TestVerifyCommand:
         assert code == 0
         assert "[chain] ok" in out
         assert "FAIL" not in out
+
+    def test_out_file_holds_the_printed_report(self, tmp_path, capsys):
+        path = tmp_path / "report.txt"
+        code, out, _ = run(["verify", "--suite", "cumulant", "--out", str(path)], capsys)
+        assert code == 0
+        assert path.read_bytes() == out.encode()
 
     def test_unknown_suite(self, capsys):
         code, _, err = run(["verify", "--suite", "nope"], capsys)
@@ -282,6 +324,29 @@ class TestConfigReplay:
         code, _, _ = run(["bounds", "--config", str(cfg), "--out", str(out2)], capsys)
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_boolean_flag_replay(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        out1, out2 = tmp_path / "a.txt", tmp_path / "b.txt"
+        code, _, _ = run(["bounds", "--x", "1", "--v", "1", "--n", "10", "--b", "0.5",
+                          "--supermartingale", "--save-config", str(cfg),
+                          "--out", str(out1)], capsys)
+        assert code == 0
+        assert "supermartingale = true" in cfg.read_text()
+        # the flag only gates b > 1, so the re-saved config shows it was read as true
+        cfg2 = tmp_path / "replay.cfg"
+        code, _, _ = run(["bounds", "--config", str(cfg), "--save-config", str(cfg2),
+                          "--out", str(out2)], capsys)
+        assert code == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert cfg2.read_bytes() == cfg.read_bytes()
+
+    def test_config_boolean_must_parse(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = 1\nv = 1\nn = 10\nb = 0.5\nsupermartingale = maybe\n")
+        code, out, err = run(["bounds", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == "smbounds bounds: not a boolean: 'maybe'\n"
 
     def test_simulate_replay(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -146,6 +146,17 @@ class TestMoments:
         per, _ = prc.exceedance_tail(prc.TwoPointExtremal(s2), 0.5, 1)
         assert per == pytest.approx(s2 / (1 + s2), rel=1e-14)
 
+    def test_cexp_exact_mgf_matches_mpmath(self):
+        # E[e^{lam (Z-1)}] for Z ~ Exp(1), integrated at 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        law = prc.CenteredExponential()
+        with mpmath.workdps(40):
+            for lam in (0.0, 0.25, 0.5, 0.9):
+                ref = mpmath.quad(lambda z: mpmath.exp(lam * (z - 1) - z), [0, 1, mpmath.inf])
+                assert prc.exact_mgf(law, lam) == pytest.approx(float(ref), rel=1e-12)
+        assert prc.exact_mgf(law, 1.0) == math.inf
+        assert prc.exact_mgf(law, 2.0) == math.inf
+
 
 class TestSampling:
     N_BIG = 10**6

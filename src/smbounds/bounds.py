@@ -61,7 +61,7 @@ class TailQuery:
 
 @dataclass(frozen=True)
 class LogProb:
-    """A probability stored as its natural log, clamped to log_value <= 0."""
+    """A probability stored as its natural log; a log_value above 0 is refused."""
 
     log_value: float
 
@@ -137,7 +137,7 @@ def _h_series(u: float) -> float:
 
 # Raw-log kernels of the core family on plain floats.  They assume validated
 # arguments (x >= 0, v > 0, n >= 1, all finite) and do not clamp; the public
-# bounds below and `core_logs` validate and clamp.
+# bounds below validate and clamp, `core_logs` returns them raw.
 
 
 def _hoeffding_log(x: float, v: float, n: int) -> float:
@@ -245,15 +245,16 @@ _ORDER_INDEX = tuple((CORE.index(lo), CORE.index(hi)) for lo, hi in ORDERING)
 
 
 def core_logs(q: TailQuery) -> tuple[float, float, float, float, float]:
-    """The core family's clamped log values at one query, in `CORE` order.
+    """The core family's raw kernel log values at one query, in `CORE` order.
 
-    The kernels are looked up as module attributes at call time, so a
-    replaced kernel is the one every caller evaluates.
+    Not clamped: a kernel that claims a probability above 1 is a defect that
+    `ordering_ok` and `core_bounds` refuse.  The kernels are looked up as
+    module attributes at call time, so a replaced kernel is the one every
+    caller evaluates.
     """
     x, v = q.x, q.v
-    logs = (min(_hoeffding_log(x, v, q.n), 0.0), min(_freedman_log(x, v), 0.0),
-            min(_bennett_log(x, v), 0.0), min(_bernstein_log(x, v), 0.0),
-            min(_prohorov_log(x, v), 0.0))
+    logs = (_hoeffding_log(x, v, q.n), _freedman_log(x, v), _bennett_log(x, v),
+            _bernstein_log(x, v), _prohorov_log(x, v))
     if math.isnan(sum(logs)):
         raise ValueError("log probability is NaN")
     return logs
@@ -265,8 +266,10 @@ def core_bounds(q: TailQuery) -> list[tuple[str, LogProb]]:
 
 
 def ordering_ok(logs: Sequence[float]) -> bool:
-    """Whether core log values in `CORE` order satisfy every `ORDERING` edge."""
-    return all(logs[lo] <= logs[hi] + ORDER_SLACK for lo, hi in _ORDER_INDEX)
+    """Whether core log values in `CORE` order are all <= 0 (probabilities)
+    and satisfy every `ORDERING` edge."""
+    return max(logs) <= 0.0 and all(logs[lo] <= logs[hi] + ORDER_SLACK
+                                    for lo, hi in _ORDER_INDEX)
 
 
 def azuma_denominator(x: float, n: int, b: float) -> tuple[float, str]:

@@ -332,17 +332,9 @@ def cmd_simulate(p: dict[str, Any]) -> int:
     if est.p_hat == 0.0:
         doc["one_sided"] = f"p <= {fmt(est.ci_high)}"
     if p["format"] == "csv":
-        rows = []
         base = dict(x=p["x"], v=p["v"], n=p["n"], y=spec.y, p_hat=est.p_hat,
                     ci_low=est.ci_low, ci_high=est.ci_high, seed=p["seed"])
-        if checks:
-            for c in checks:
-                rows.append(dict(base, bound_name=c["bound_name"],
-                                 log_value=c["log_value"], value=c["value"],
-                                 verdict=c["verdict"]))
-        else:
-            rows.append(base)
-        _emit(_csv_text(rows), p["out"])
+        _emit(_csv_text([dict(base, **c) for c in checks] or [base]), p["out"])
     else:
         _emit(_json_text(doc), p["out"])
     return EXIT_FAIL if flagged else EXIT_OK
@@ -374,8 +366,7 @@ def cmd_verify(p: dict[str, Any]) -> int:
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if p["out"]:
-        with open(p["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _emit(text, p["out"])
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 

@@ -8,6 +8,7 @@ suites and `simulate` take the bounds a (law, event) pair admits from
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
@@ -78,7 +79,8 @@ FD_TOL = 1e-6
 def suite_cumulant() -> SuiteReport:
     rep = SuiteReport("cumulant")
     h = FD_STEP
-    ts = np.concatenate(([h], np.linspace(0.01, 10.0, 100)))
+    ts = np.unique(np.concatenate(([h], np.linspace(0.01, 10.0, 100), np.linspace(0.01, 10.0, 60),
+                                   np.linspace(0.05, 10.0, 60))))
 
     worst_second = -math.inf
     min_forward = math.inf
@@ -104,8 +106,8 @@ def suite_cumulant() -> SuiteReport:
     rep.add("linear envelope (e^lam - 1 - lam) t", linear_ok)
 
     quad_ok = True
-    for lam in np.linspace(0.0, 10.0, 21):
-        for b in np.linspace(0.05, 5.0, 25):
+    for lam in np.union1d(np.linspace(0.0, 10.0, 21), np.linspace(0.0, 10.0, 30)):
+        for b in np.union1d(np.linspace(0.05, 5.0, 25), (0.1, 0.5, 1.0, 3.0, 5.0)):
             if cml.cgf_bound(float(lam), float(b)) > cml.cgf_quadratic_bound(float(lam), float(b)) + 1e-12:
                 quad_ok = False
     rep.add("quadratic envelope lam^2 (1+b)^2 / 8", quad_ok)
@@ -139,11 +141,11 @@ def suite_cumulant() -> SuiteReport:
 # ---------------------------------------------------------------------------
 
 
-def chain_grid(points_per_cell: int = 290) -> Iterator[bnd.TailQuery]:
+def chain_grid() -> Iterator[bnd.TailQuery]:
     """At least 10^4 (x, v, n) points with x restricted to [0, n]."""
     for n in bnd.GRID_N:
         extra = sorted({x for x in bnd.GRID_X if x <= n} | {0.3 * n, 0.7 * n, float(n)})
-        xs = np.unique(np.concatenate([np.linspace(0.0, n, points_per_cell), extra]))
+        xs = np.unique(np.concatenate([np.linspace(0.0, n, 290), extra]))
         for v in bnd.GRID_V:
             for x in xs:
                 yield bnd.TailQuery(float(x), v, n)
@@ -154,18 +156,14 @@ def suite_chain() -> SuiteReport:
     violations = 0
     first = ""
     count = 0
-    clamp_ok = True
     for q in chain_grid():
         count += 1
-        logs = bnd.core_logs(q)
-        clamp_ok = clamp_ok and max(logs) <= 0.0
-        if not bnd.ordering_ok(logs):
+        if not bnd.ordering_ok(bnd.core_logs(q)):
             violations += 1
             if not first:
                 first = f"x={q.x} v={q.v} n={q.n}"
     rep.add(f"ordering chain on {count} grid points", violations == 0,
             f"{violations} violations" + (f", first at {first}" if first else ""))
-    rep.add("all bounds clamp to probability <= 1", clamp_ok)
 
     geo = [float(t) for t in np.geomspace(0.1, 10.0, 25)]
     pairs = [(x, v) for v in bnd.GRID_V for x in (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)]
@@ -201,22 +199,23 @@ def suite_variational() -> SuiteReport:
 
     worst_h = 0.0
     worst_f = 0.0
-    for n in (2, 5, 10, 100):
-        for v in (0.5, 1.0, 2.0, 5.0, 10.0):
-            for frac in (0.1, 0.3, 0.5, 0.7, 0.9):
-                x = frac * n
-                q = bnd.TailQuery(x, v, n)
-                t = v * v / n
-                _, val = cml.minimize_tilt(lambda lam: -lam * x + n * cml.cgf_bound(lam, t), 1.0)
-                worst_h = max(worst_h, abs(val - bnd.hoeffding(q).log_value))
-                v2 = v * v
-                _, val_f = cml.minimize_tilt(
-                    lambda lam: -lam * x + cml.cumulant_bound_linear(lam, v2), 1.0)
-                worst_f = max(worst_f, abs(val_f - bnd.freedman(x, v).log_value))
+    points = [*itertools.product((2, 5, 10, 100), (0.5, 1.0, 2.0, 5.0, 10.0),
+                                 (0.1, 0.3, 0.5, 0.7, 0.9)),
+              *itertools.product((2, 10, 100), (0.5, 1.0, 3.0), (0.2, 0.6, 0.95))]
+    for n, v, frac in points:
+        x = frac * n
+        q = bnd.TailQuery(x, v, n)
+        t = v * v / n
+        _, val = cml.minimize_tilt(lambda lam: -lam * x + n * cml.cgf_bound(lam, t), 1.0)
+        worst_h = max(worst_h, abs(val - bnd.hoeffding(q).log_value))
+        v2 = v * v
+        _, val_f = cml.minimize_tilt(
+            lambda lam: -lam * x + cml.cumulant_bound_linear(lam, v2), 1.0)
+        worst_f = max(worst_f, abs(val_f - bnd.freedman(x, v).log_value))
     rep.add("closed form equals tilt minimization (horizon-n bound)", worst_h <= 1e-8,
-            f"max |gap| {worst_h:.3e} over 100 points")
+            f"max |gap| {worst_h:.3e} over {len(points)} points")
     rep.add("closed form equals tilt minimization (horizon-free bound)", worst_f <= 1e-8,
-            f"max |gap| {worst_f:.3e} over 100 points")
+            f"max |gap| {worst_f:.3e} over {len(points)} points")
 
     worst_red = 0.0
     combos = 0
@@ -280,16 +279,16 @@ def _corpus_laws() -> list[IncrementLaw]:
     )
 
 
-def oracle_corpus() -> Iterator[tuple[IncrementLaw, int, float, float, float]]:
-    """(law, n, x, v, budget_scale) instances satisfying the hypotheses;
-    budget_scale > 1 means the variance clause never binds."""
+def oracle_corpus() -> Iterator[tuple[IncrementLaw, int, float, float]]:
+    """(law, n, x, v) instances satisfying the hypotheses; v^2 is n m2 times
+    a scale, and a scale above 1 means the variance clause never binds."""
     for law in _corpus_laws():
         m2 = law.second_moment()
         for n in (2, 5, 10, 25):
             for scale in (1.0000001, 0.5):
                 v = math.sqrt(n * m2 * scale)
                 for x in (1.0, 0.3 * n, 0.6 * n, float(n)):
-                    yield law, n, x, v, scale
+                    yield law, n, x, v
 
 
 def suite_oracle() -> SuiteReport:
@@ -299,8 +298,7 @@ def suite_oracle() -> SuiteReport:
     bound_violations = []
     nesting_ok = True
     mass_ok = True
-    max_ok = True
-    for law, n, x, v, _ in oracle_corpus():
+    for law, n, x, v in oracle_corpus():
         instances += 1
         comp = exact_vs_bound(law, n, x, v)
         if not comp.valid:
@@ -309,15 +307,12 @@ def suite_oracle() -> SuiteReport:
         if not (res.p_final <= res.p_max + 1e-15 and res.p_max <= res.p_stopped + 1e-15):
             nesting_ok = False
         mass_ok = mass_ok and res.defect <= 1e-12
-        max_ok = max_ok and all(res.p_max <= val + orc.COMPARISON_SLACK
-                                for val in comp.bound_values.values())
     rep.add(f"exact stopped probability below every bound ({instances} instances)",
             not bound_violations,
             f"{len(bound_violations)} violations"
             + (f", first: {bound_violations[0]}" if bound_violations else ""))
     rep.add("event nesting p_final <= p_max <= p_stopped", nesting_ok)
     rep.add("probability mass conserved by the first-passage DP", mass_ok)
-    rep.add("running-max probability below every applicable bound", max_ok)
 
     rng = np.random.default_rng(20240917)
     pool = _corpus_laws()

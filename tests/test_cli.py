@@ -311,6 +311,23 @@ class TestVerifyCommand:
         assert code == 1
         assert "FAIL" in out
 
+    def test_core_kernel_above_probability_one_is_refused(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a kernel claiming probability e keeps every ordering edge; the rule
+        # that a core log is <= 0 must still fail the chain and refuse output
+        from smbounds import bounds as bnd
+
+        monkeypatch.setattr(bnd, "_prohorov_log", lambda x, v: 1.0)
+        code, out, _ = run(["verify", "--suite", "chain"], capsys)
+        assert code == 1
+        assert "[chain] FAIL ordering chain" in out
+        code, _, err = run(["compare", "--out", str(tmp_path / "cmp.csv")], capsys)
+        assert code == 1
+        assert "ordering failed" in err
+        code, out, err = run(["bounds", "--x", "1", "--v", "1", "--n", "2"], capsys)
+        assert (code, out) == (2, "")
+        assert "log probability must be <= 0" in err
+
 
 class TestConfigReplay:
     def test_bounds_replay(self, tmp_path, capsys):

@@ -93,7 +93,7 @@ def test_corpus_laws_keep_their_lists():
 
 
 def test_exact_vs_bound_compares_with_the_applicable_list():
-    for law, n, x, v, _ in suites.oracle_corpus():
+    for law, n, x, v in suites.oracle_corpus():
         comp = suites.exact_vs_bound(law, n, x, v)
         assert list(comp.bound_values) == names(law, x, v, n)
         assert comp.valid

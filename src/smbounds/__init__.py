@@ -22,14 +22,11 @@ from .bounds import (
 from .cumulant import (
     cgf_bound,
     check_tilted_second_moment,
-    cumulant_bound,
     cumulant_bound_linear,
     mgf_bound,
     minimize_tilt,
-    optimal_tilt,
-    optimal_tilt_linear,
 )
-from .montecarlo import Estimate, estimate_event, tightness_ratio, verify_bound
+from .montecarlo import Estimate, estimate_event, verify_bound
 from .oracle import ExactResult, LatticeLaw, exact_event_probability
 from .processes import (
     CenteredExponential,

@@ -1,7 +1,7 @@
 """Moment-generating-function and cumulant machinery behind the closed-form
-bounds: the two-point MGF estimate, its log form, the cumulant-process bounds,
-the closed-form tilt minimizers, and a golden-section minimizer used to
-cross-check every closed form.
+bounds: the two-point MGF estimate, its log form, the linear and quadratic
+cumulant envelopes, and a golden-section minimizer used to cross-check every
+closed form.
 
 All quantities are functions of the exponential tilting parameter lam >= 0 and
 a variance level t >= 0, kept in log space until the caller exponentiates.
@@ -12,16 +12,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from .bounds import TailQuery
-
 __all__ = [
     "cgf_bound",
     "mgf_bound",
-    "cumulant_bound",
     "cumulant_bound_linear",
     "cgf_quadratic_bound",
-    "optimal_tilt",
-    "optimal_tilt_linear",
     "minimize_tilt",
     "check_tilted_second_moment",
 ]
@@ -62,16 +57,6 @@ def mgf_bound(lam: float, sigma2: float) -> float:
     return w * math.exp(-lam * sigma2) + (1.0 - w) * math.exp(lam)
 
 
-def cumulant_bound(lam: float, k: int, qc: float) -> float:
-    """k * cgf_bound(lam, qc/k): bound on the cumulant process at step k given
-    the quadratic characteristic qc, via concavity of the cumulant bound in t."""
-    if k < 1 or int(k) != k:
-        raise ValueError(f"k must be a positive integer, got {k}")
-    if not (math.isfinite(qc) and qc >= 0):
-        raise ValueError(f"qc must be >= 0, got {qc}")
-    return k * cgf_bound(lam, qc / k)
-
-
 def cumulant_bound_linear(lam: float, qc: float) -> float:
     """(e^lam - 1 - lam) * qc, the linear-in-variance cumulant bound."""
     if not (math.isfinite(lam) and lam >= 0):
@@ -89,26 +74,6 @@ def cgf_quadratic_bound(lam: float, b: float) -> float:
     if not (math.isfinite(b) and b > 0):
         raise ValueError(f"b must be > 0, got {b}")
     return lam * lam * (1.0 + b) ** 2 / 8.0
-
-
-def optimal_tilt(q: TailQuery) -> float:
-    """Closed-form minimizer of lam -> -lam*x + n*cgf_bound(lam, v^2/n):
-    (1/(1 + v^2/n)) * log((1 + x/v^2) / (1 - x/n)); requires x < n."""
-    x, v, n = q.x, q.v, q.n
-    if x >= n:
-        raise ValueError(f"the minimizer diverges at x >= n, got x={x}, n={n}")
-    v2 = v * v
-    return (math.log1p(x / v2) - math.log1p(-x / n)) / (1.0 + v2 / n)
-
-
-def optimal_tilt_linear(x: float, v: float) -> float:
-    """Closed-form minimizer of lam -> -lam*x + (e^lam - 1 - lam) v^2:
-    log(1 + x/v^2)."""
-    if not (math.isfinite(x) and x >= 0):
-        raise ValueError(f"x must be >= 0, got {x}")
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"v must be > 0, got {v}")
-    return math.log1p(x / (v * v))
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

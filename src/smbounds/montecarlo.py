@@ -23,13 +23,15 @@ A worker draws its range in row blocks of about BLOCK_ELEMS steps.  The
 generator fills rows in order, so the blocks concatenate to the range drawn at
 once, and hit counts do not depend on the block size.  Each block's running
 statistic is taken once and each distinct test of `event_test` is made on it
-once (max and stopped share one when the budget covers the horizon), so memory
-is O(workers x block) for any n and number of trials.  On a two-point law
-{a > b} the statistic is the int32 count of a-steps, compared with the exact
-thresholds j*_k of `processes.count_thresholds` (the oracle's states and
-thresholds), so no float sum decides a path that lands on x; other laws sum
-float increments in place.  An a-step is a raw Philox output r at most
-ceil(p * 2^53) * 2^11 - 1, so that `random()`, (r >> 11) * 2^-53, is below p.
+once (max and stopped share one when the budget covers the horizon).  A block
+holds at least one whole path, max(1, BLOCK_ELEMS // n) rows, and `event_test`
+builds n + 1 thresholds, so memory is O(workers x max(BLOCK_ELEMS, n)) + O(n)
+for any number of trials.  On a two-point law {a > b} the statistic is the
+int32 count of a-steps, compared with the exact thresholds j*_k of
+`processes.count_thresholds` (the oracle's states and thresholds), so no float
+sum decides a path that lands on x; other laws sum float increments in place.
+An a-step is a raw Philox output r at most ceil(p * 2^53) * 2^11 - 1, so that
+`random()`, (r >> 11) * 2^-53, is below p.
 Blocks of fewer steps than paths (n < 256) hold their counts step-major, so
 the running count and the tests on `stat.T` run along whole rows of paths.
 """
@@ -66,7 +68,6 @@ __all__ = [
     "estimate_events",
     "nested_event_estimates",
     "verify_bound",
-    "tightness_ratio",
 ]
 
 #: Fixed chunk size; substream j covers paths [j * CHUNK_SIZE, (j+1) * CHUNK_SIZE).
@@ -332,12 +333,3 @@ def verify_bound(estimate: Estimate, bound: LogProb) -> BoundCheck:
     verdict = "PASS" if estimate.ci_low <= bound.value else "FLAG"
     return BoundCheck(verdict, estimate, bound)
 
-
-def tightness_ratio(estimate: Estimate, bound: LogProb) -> float:
-    """bound / p_hat; near 1 means the bound is nearly attained."""
-    if estimate.p_hat == 0.0:
-        raise ValueError(
-            f"ratio undefined at p_hat = 0; only the one-sided statement "
-            f"p <= {estimate.ci_high:.6g} is available"
-        )
-    return bound.value / estimate.p_hat

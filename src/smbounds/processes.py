@@ -265,8 +265,9 @@ class EventSpec:
         if not (math.isfinite(self.v) and self.v > 0):
             raise ValueError(f"v must be > 0, got {self.v}")
         if self.variant is EventVariant.TRUNCATED_ANY_K:
-            if self.y is None or self.y <= 0:
-                raise ValueError("truncated events need a truncation level y > 0")
+            if self.y is None or not (math.isfinite(self.y) and self.y > 0):
+                raise ValueError(
+                    f"truncated events need a finite truncation level y > 0, got y={self.y}")
         elif self.y is not None:
             raise ValueError(f"y only applies to truncated events, got y={self.y}")
 

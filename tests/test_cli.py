@@ -224,6 +224,19 @@ class TestSimulateCommand:
                           "--x", "1", "--v", "1", "--n", "2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("law", ["extremal:1", "cexp"])
+    @pytest.mark.parametrize("y", ["nan", "inf"])
+    def test_non_finite_y_is_refused_before_sampling(self, law, y, monkeypatch, capsys):
+        def sample(*args):
+            raise AssertionError("paths drawn before the event was checked")
+
+        monkeypatch.setattr(cli.mc, "estimate_event", sample)
+        code, out, err = run(["simulate", "--law", law, "--event", "truncated", "--y", y,
+                              "--x", "3", "--v", "3", "--n", "8"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("smbounds simulate: truncated events need a finite truncation "
+                       f"level y > 0, got y={y}\n")
+
     def test_y_on_untruncated_event_is_usage_error(self, capsys):
         code, out, err = run(["simulate", "--law", "extremal:1", "--event", "stopped",
                               "--x", "3", "--v", "3", "--n", "8", "--y", "2",

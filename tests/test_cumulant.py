@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from smbounds import bounds as bnd
 from smbounds import cumulant as cml
 from smbounds.processes import CenteredExponential, TwoPoint, TwoPointExtremal, exact_mgf
 
@@ -63,11 +62,6 @@ class TestMgfBound:
 
 
 class TestCumulantBounds:
-    def test_step_bound_values(self):
-        assert cml.cumulant_bound(0.0, 7, 3.0) == 0.0
-        assert cml.cumulant_bound(1.0, 1, 1.0) == pytest.approx(LOG_COSH_1, rel=1e-12)
-        assert cml.cumulant_bound(1.0, 2, 2.0) == pytest.approx(2 * LOG_COSH_1, rel=1e-12)
-
     def test_linear_bound_values(self):
         assert cml.cumulant_bound_linear(0.0, 10.0) == 0.0
         assert cml.cumulant_bound_linear(1.0, 1.0) == pytest.approx(math.e - 2.0, rel=1e-14)
@@ -81,29 +75,6 @@ class TestCumulantBounds:
         assert cml.cgf_quadratic_bound(0.0, 1.0) == 0.0
         assert cml.cgf_quadratic_bound(1.0, 1.0) == 0.5
         assert cml.cgf_quadratic_bound(2.0, 0.5) == pytest.approx(1.125)
-
-
-class TestOptimalTilts:
-    def test_horizon_tilt(self):
-        assert cml.optimal_tilt(bnd.TailQuery(0.0, 1.0, 5)) == 0.0
-        got = cml.optimal_tilt(bnd.TailQuery(1.0, 1.0, 2))
-        assert got == pytest.approx((2.0 / 3.0) * math.log(4.0), rel=1e-14)
-
-    def test_horizon_tilt_large_n_limit(self):
-        got = cml.optimal_tilt(bnd.TailQuery(1.0, 1.0, 10**6))
-        assert got == pytest.approx(math.log(2.0), abs=1e-5)
-
-    def test_horizon_tilt_rejects_x_at_n(self):
-        with pytest.raises(ValueError):
-            cml.optimal_tilt(bnd.TailQuery(2.0, 1.0, 2))
-
-    def test_linear_tilt(self):
-        assert cml.optimal_tilt_linear(0.0, 3.0) == 0.0
-        assert cml.optimal_tilt_linear(1.0, 1.0) == pytest.approx(math.log(2.0), rel=1e-14)
-
-    def test_linear_tilt_log1p_accuracy(self):
-        x = 1e-12
-        assert cml.optimal_tilt_linear(x, 1.0) == pytest.approx(x, rel=1e-6)
 
 
 class TestMinimizeTilt:

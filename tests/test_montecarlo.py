@@ -517,24 +517,6 @@ class TestVerdicts:
         bound = hoeffding(TailQuery(x, v, n))
         assert mc.verify_bound(est, bound).verdict == "PASS"
 
-    def test_tightness_ratio(self):
-        est = self._estimate_with(0.25, 0.24, 0.26)
-        assert mc.tightness_ratio(est, LogProb.from_log(math.log(0.25))) == pytest.approx(1.0)
-        zero = self._estimate_with(0.0, 0.0, 0.003)
-        with pytest.raises(ValueError, match="one-sided"):
-            mc.tightness_ratio(zero, LogProb.from_log(-1.0))
-
-    def test_tightness_ratio_on_exact_oracle_instance(self):
-        # exact event probability 1/4 against the bound at (x=n, v=sqrt(2)),
-        # which the two-atom law attains: the ratio is 1 up to round-off
-        exact = orc.exact_event_probability(
-            orc.LatticeLaw.from_increment_law(RADEMACHER), 2, 2.0, math.sqrt(2.0))
-        bound = hoeffding(TailQuery(2.0, math.sqrt(2.0), 2))
-        spec = prc.EventSpec(2.0, math.sqrt(2.0), STOPPED)
-        est = mc.Estimate(RADEMACHER, spec, 2, 4, 1, 0.95, 0,
-                          exact.p_stopped, 0.0, 1.0)
-        assert mc.tightness_ratio(est, bound) == pytest.approx(1.0, rel=1e-12)
-
 
 class TestBudgetRule:
     """Monte Carlo counts the steps within a variance budget by the oracle's

@@ -35,6 +35,15 @@ def _mc_flags(law, inc, spec):
     return np.any(ups[:, steps] >= levels, axis=1)
 
 
+def _per_path(law, stat):
+    """Each path's own running statistic in a block of `sample_statistic`:
+    two-point counts of a path-major block run on from path to path."""
+    paths, n = stat.shape
+    if mc._step_major(paths, n):
+        return stat
+    return stat - np.reshape(mc._path_starts(law, stat), (-1, 1))
+
+
 class TestClopperPearson:
     def test_edge_cases(self):
         lo, hi = mc.clopper_pearson(0, 100, 0.95)
@@ -210,9 +219,10 @@ class TestRowBlocks:
 
 
 class TestBlockLayout:
-    """Two-point blocks with fewer steps than paths hold their counts step by
-    step, the others path by path; either way each unit counts what float
-    uniforms below p, summed along rows, count on the same rows."""
+    """Blocks with more than four times as many paths as steps hold their
+    statistic step by step, the others path by path; either way each unit
+    counts what float uniforms below p, summed along rows, count on the same
+    rows."""
 
     @staticmethod
     def _reference(law, specs, n, trials, seed, workers):
@@ -227,32 +237,76 @@ class TestBlockLayout:
             nesting_ok &= all(np.all(b | ~a) for a, b in zip(flags, flags[1:]))
         return counts, nesting_ok
 
-    @pytest.mark.parametrize("text", ["extremal:1", "bounded:0.45"])
-    @pytest.mark.parametrize("n, trials", [(255, 1000), (256, 1000), (257, 1000), (20, 6576)])
-    def test_counts_match_the_reference_kernel(self, monkeypatch, text, n, trials):
-        # BLOCK_ELEMS // n rows is 257, 256 and 255 at n = 255, 256 and 257, so
-        # only n = 255 has step-major blocks; each unit's last block (243-245
-        # rows at n >= 255, 12 rows at n = 20) has fewer rows than n
-        monkeypatch.setattr(mc, "_workers", lambda: 2)
-        law = prc.parse_law(text)
+    @staticmethod
+    def _specs(law, n):
         m2 = law.second_moment()
         x, v = 0.5 * math.sqrt(n), math.sqrt(n * m2 * (1 + 1e-7))
         v_half = math.sqrt(n // 2 * m2 * (1 + 1e-7))
         # max and stopped share a test within the whole-horizon budget, max at
-        # 2x has its steps and other levels; max never holds within half of it
-        specs = [prc.EventSpec(x, v_half, MAX), prc.EventSpec(2 * x, v, FINAL),
-                 prc.EventSpec(2 * x, v, MAX), prc.EventSpec(x, v, MAX),
-                 prc.EventSpec(x, v, STOPPED), prc.EventSpec(x, v_half, STOPPED)]
+        # 2x has its steps and other levels; max within half of it covers no
+        # step, and stopped within half of it stops at step n // 2
+        return [prc.EventSpec(x, v_half, MAX), prc.EventSpec(2 * x, v, FINAL),
+                prc.EventSpec(2 * x, v, MAX), prc.EventSpec(x, v, MAX),
+                prc.EventSpec(x, v, STOPPED), prc.EventSpec(x, v_half, STOPPED)]
+
+    def _check_against_the_reference(self, law, n, trials):
+        specs = self._specs(law, n)
+        assert mc.event_test(law, specs[0], n)[0] == slice(0)
         counts, nesting_ok = mc._count_hits(law, specs, n, trials, seed=13)
         assert (counts, nesting_ok) == self._reference(law, specs, n, trials, 13, 2)
         assert counts[0] == 0 < counts[1] < counts[2] < counts[3] == counts[4]
         assert counts[5] > 0 and not nesting_ok  # some path reaches x only after step n // 2
         assert mc._count_hits(law, specs[:5], n, trials, seed=13) == (counts[:5], True)
 
-    @pytest.mark.parametrize("paths, n", [(257, 255), (256, 256), (255, 257), (12, 20), (3, 1)])
+    @pytest.mark.parametrize("text", ["extremal:1", "bounded:0.45"])
+    @pytest.mark.parametrize("n, trials", [(255, 1000), (256, 1000), (257, 1000), (20, 6576),
+                                           (500, 1000), (127, 2000), (128, 2000)])
+    def test_counts_match_the_reference_kernel(self, monkeypatch, text, n, trials):
+        # BLOCK_ELEMS // n rows is 3276, 516 and 512 at n = 20, 127 and 128, so
+        # blocks are step-major at n = 20 and 127, except each unit's short
+        # last block (12 and 484 rows), and path-major from n = 128; the last
+        # block is short at every n (243-245 rows at n = 255..257, fewer than
+        # n, and 107 at n = 500)
+        monkeypatch.setattr(mc, "_workers", lambda: 2)
+        self._check_against_the_reference(prc.parse_law(text), n, trials)
+
+    @pytest.mark.parametrize("text", ["extremal:1", "bounded:0.45"])
+    @pytest.mark.parametrize("n", [4, 257, 300])
+    def test_one_row_blocks_match_the_reference_kernel(self, monkeypatch, text, n):
+        # blocks of one path, whose counts start from 0; at n = 257 each block
+        # holds an odd number of steps
+        monkeypatch.setattr(mc, "_workers", lambda: 2)
+        monkeypatch.setattr(mc, "BLOCK_ELEMS", n - 1)
+        self._check_against_the_reference(prc.parse_law(text), n, 200)
+
+    @pytest.mark.parametrize("text", ["extremal:1", "bounded:0.45"])
+    @pytest.mark.parametrize("paths, n", [(131, 500), (255, 257), (3, 3), (1, 5), (1, 1)])
+    def test_path_major_counts_are_the_uniform_counts(self, text, paths, n):
+        # each path's own counts, on the uniforms `sample` draws
+        law = prc.parse_law(text)
+        stat = mc.sample_statistic(law, prc.make_generator(9, 1), (paths, n))
+        p = law.atoms()[0][1]
+        expected = np.cumsum(prc.make_generator(9, 1).random((paths, n)) < p, axis=1)
+        assert stat.flags.c_contiguous and np.array_equal(_per_path(law, stat), expected)
+
+    @pytest.mark.parametrize("paths, n", [(300, 41), (81, 20), (5, 1), (80, 20), (3, 2)])
+    def test_float_sums_are_the_cumsum(self, paths, n):
+        # the step-major rows are added in the order np.cumsum(axis=1) adds
+        law = prc.CenteredExponential()
+        stat = mc.sample_statistic(law, prc.make_generator(4, 1), (paths, n))
+        expected = np.cumsum(law.sample(prc.make_generator(4, 1), (paths, n)), axis=1)
+        assert stat.T.flags.c_contiguous == mc._step_major(paths, n)
+        assert np.array_equal(stat, expected)
+
+    @pytest.mark.parametrize("paths, n", [(257, 255), (256, 256), (255, 257), (12, 20), (3, 1),
+                                          (516, 127), (512, 128), (508, 127), (5, 1), (4, 1)])
     def test_only_blocks_wider_than_long_are_step_major(self, paths, n):
+        # step-major exactly when there are more than four paths per step (at
+        # n = 1 the two layouts are the same memory)
         stat = mc.sample_statistic(RADEMACHER, prc.make_generator(2), (paths, n))
-        assert stat.shape == (paths, n) and stat.T.flags.c_contiguous == (n < paths)
+        size = stat.itemsize
+        assert stat.shape == (paths, n)
+        assert stat.strides == ((size, size * paths) if 4 * n < paths else (size * n, size))
 
 
 class TestRawCut:
@@ -286,9 +340,10 @@ class TestRawCut:
             if 0 <= r < 2**64:
                 assert ((r >> 11) * 2.0**-53 < p) is up
                 edges.append((r, up))
-        # sample_statistic itself, on these raw outputs, in both layouts
-        raw = np.array([r for r, _ in edges], dtype=np.uint64)
-        ups = np.array([up for _, up in edges])
+        # sample_statistic itself, on these raw outputs five times over (enough
+        # rows for a step-major column), in both layouts
+        raw = np.array([r for r, _ in edges] * 5, dtype=np.uint64)
+        ups = np.array([up for _, up in edges] * 5)
         rng = SimpleNamespace(bit_generator=SimpleNamespace(
             random_raw=lambda shape: raw.reshape(shape)))
         law = prc.TwoPoint(1.0, -1.0, p, max(1.0 - p, 1e-13), "edges")
@@ -336,8 +391,8 @@ class TestWorkers:
             whole = mc.sample_statistic(law, prc.make_generator(17, 2), (m, n))
             for first in (4, 36, 500, 996):
                 rng = mc._unit_generator(17, 2, first, n)
-                assert np.array_equal(mc.sample_statistic(law, rng, (m - first, n)),
-                                      whole[first:])
+                assert np.array_equal(
+                    _per_path(law, mc.sample_statistic(law, rng, (m - first, n))), whole[first:])
 
     def test_a_range_must_start_a_philox_block(self):
         with pytest.raises(ValueError, match="Philox block"):

@@ -5,16 +5,19 @@ import importlib
 from pathlib import Path
 
 import smbounds
+from smbounds import bounds
 
 MODULES = ("bounds", "cumulant", "montecarlo", "oracle", "processes", "suites")
 
 
 def _references():
     """Names that code in the package, outside `__init__.py`, loads or reads as
-    an attribute, and the strings it holds (a registry such as `bounds.CORE`
-    names its bounds by string).  Definitions and imports are not loads, and
-    the `__all__` lists are skipped, so listing a name is not using it."""
-    seen = set()
+    an attribute, and the entries of the `bounds.CORE` registry, which names
+    the core bounds by string.  No other string counts, so a message or
+    docstring that spells a public name does not use it.  Definitions and
+    imports are not loads, and the `__all__` lists are skipped, so listing a
+    name is not using it."""
+    seen = set(bounds.CORE)
     for path in Path(smbounds.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue
@@ -27,8 +30,6 @@ def _references():
                 seen.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 seen.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                seen.add(node.value)
     return seen
 
 

@@ -45,6 +45,7 @@ path's own row (`_reaches`).
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -145,9 +146,11 @@ class NestedEstimates:
     nesting_ok: bool  # final => max => stopped held on every path
 
 
+@functools.lru_cache
 def _last_up_output(p: float) -> int:
     """The largest raw r with (r >> 11) * 2^-53 < p: the integer r >> 11 < p * 2^53 exactly
-    when r >> 11 < ceil(p * 2^53), that is r < ceil(p * 2^53) * 2^11, at most 2^64 at p <= 1."""
+    when r >> 11 < ceil(p * 2^53), that is r < ceil(p * 2^53) * 2^11, at most 2^64 at p <= 1.
+    Every row block of a law asks for the same p, so the exact value is kept per p."""
     return math.ceil(Fraction(p) * 2**53) * 2**11 - 1
 
 

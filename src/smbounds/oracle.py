@@ -12,11 +12,11 @@ closed-form tail of the Binomial(n, p_a) count of upper steps.  A
 brute-force path enumeration is kept as an independent route.
 
 Every passage decision is exact in integers.  A law on two atoms a > b is
-tracked by the count j of a-steps: a dense mass vector over j takes one
-shift-add per step, and the sum reaches x exactly when j >= j*_k of
-`processes.count_thresholds`, the test Monte Carlo applies to its sampled
-paths.  The comparison with the bounds is `suites.exact_vs_bound`, which
-checks their hypotheses.
+tracked by the count j of a-steps: a mass vector over j takes one
+`np.correlate` call per step, absorption truncates it, and the sum reaches x
+exactly when j >= j*_k of `processes.count_thresholds`, the test Monte Carlo
+applies to its sampled paths.  The comparison with the bounds is
+`suites.exact_vs_bound`, which checks their hypotheses.
 """
 
 from __future__ import annotations
@@ -98,10 +98,12 @@ def first_passage_dp(
     absorbing mass at the first k where X_k >= x.
 
     For atoms a > b the state after k steps is the count j of a-steps, held as
-    a dense mass vector over j = 0..n.  A step is one shift-add,
-    m'[j] = m[j] p_b + m[j-1] p_a, and the sum reaches x exactly when
-    j >= j*_k (`count_thresholds`), so the surviving states are always a
-    prefix j < live; once that prefix is empty no later step moves any mass.
+    a mass vector over the counts j < live not yet absorbed.  A step is one C
+    call, `np.correlate(m, [p_a, p_b], "full")`, which makes each
+    m'[j] = m[j-1] p_a + m[j] p_b of two rounded products and one rounded add.
+    The sum reaches x exactly when j >= j*_k (`count_thresholds`), so the
+    surviving states are always a prefix and absorption truncates the vector
+    to j < j*_k; once it is empty no later step moves any mass.
 
     Returns (cumulative absorbed probability by step k for k = 0..n, the
     surviving masses over the counts j < live after step n, whose sums are
@@ -115,28 +117,22 @@ def first_passage_dp(
     if n + 1 > STATE_CAP:
         raise StateSpaceError(f"{n + 1} count states exceed the cap {STATE_CAP}")
     thresholds = count_thresholds(a, b, x, n).tolist()
-    mass = np.zeros(n + 1)
-    mass[0] = 1.0
-    up = np.empty(n)
-    live = 1
+    kernel = np.array([pa, pb])
+    mass = np.ones(1)
     absorbed = 0.0
     absorbed_cum = [0.0]
     for k in range(1, n + 1):
-        np.multiply(mass[:live], pa, out=up[:live])
-        mass[:live] *= pb
-        mass[1:live + 1] += up[:live]
-        live += 1
+        mass = np.correlate(mass, kernel, "full")  # m[j-1] p_a + m[j] p_b
         cut = thresholds[k]
-        if cut < live:
+        if cut < len(mass):
             # one absorbed state is read as a scalar; its sum is itself
-            absorbed += float(mass[cut]) if cut == live - 1 else float(mass[cut:live].sum())
-            mass[cut:live] = 0.0
-            live = cut
+            absorbed += float(mass[cut]) if cut == len(mass) - 1 else float(mass[cut:].sum())
+            mass = mass[:cut]
         absorbed_cum.append(absorbed)
-        if not live:
+        if not len(mass):
             absorbed_cum += [absorbed] * (n - k)
             break
-    final = mass[:live].tolist()
+    final = mass.tolist()
     return absorbed_cum, final, abs(1.0 - absorbed_cum[-1] - math.fsum(final))
 
 

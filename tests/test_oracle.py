@@ -152,6 +152,26 @@ def _reference_dp(law, n, x):
     return absorbed_cum, dist
 
 
+def _float_count_dp(law, n, x):
+    """The count-state pass as a plain Python-float loop: new[j] = m[j]*pb +
+    m[j-1]*pa, absorbing the counts j >= j*_k of `count_thresholds`."""
+    (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
+    thresholds = prc.count_thresholds(a, b, x, n).tolist()
+    m, absorbed, absorbed_cum = [1.0], 0.0, [0.0]
+    for k in range(1, n + 1):
+        padded = [0.0] + m + [0.0]
+        # once no state is left, no step makes one
+        new = [padded[j + 1] * pb + padded[j] * pa for j in range(len(m) + 1)] if m else []
+        cut = min(thresholds[k], len(new))
+        # with b < 0 the thresholds never fall, so at most two states (both
+        # at step 1) are absorbed at once, whose sum any order rounds alike
+        assert len(new) - cut <= 2
+        absorbed += math.fsum(new[cut:])
+        m = new[:cut]
+        absorbed_cum.append(absorbed)
+    return absorbed_cum, m
+
+
 class TestDpInternals:
     def test_mass_conservation(self):
         for law in TestDpVsEnumeration.LAWS:
@@ -177,6 +197,21 @@ class TestDpInternals:
                 assert sums == sorted(ref_final)
                 assert np.allclose(final, [ref_final[s] for s in sums], rtol=0, atol=1e-14)
                 assert np.allclose(absorbed_cum, ref_cum, rtol=0, atol=1e-14)
+
+    def test_bits_match_the_float_count_loop(self):
+        # every state is the same two rounded products and one rounded add as
+        # in the plain loop, so absorbed_cum and final agree bit for bit; x = -1
+        # absorbs both states of step 1 (the slice sum, then the early break),
+        # 0 absorbs one, 1e9 none
+        laws = [RADEMACHER] + [orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
+                               for spec in ("extremal:0.5", "bounded:0.45", "drifted:0.5,0.1")]
+        for law in laws:
+            for n in (1, 2, 5, 40, 300):
+                for x in (-1.0, 0.0, 1.0, 0.3 * n, float(n), 1e9):
+                    absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
+                    ref_cum, ref_final = _float_count_dp(law, n, x)
+                    assert [v.hex() for v in absorbed_cum] == [v.hex() for v in ref_cum]
+                    assert [v.hex() for v in final] == [v.hex() for v in ref_final]
 
     def test_nesting_invariant(self):
         rng = np.random.default_rng(11)

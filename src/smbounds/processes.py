@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
@@ -281,8 +280,24 @@ def budget_steps(per_step: float, n: int, v: float) -> int:
     return n if per_step <= 0 else math.floor(min(v * v / per_step, n) + 1e-9)
 
 
-#: Steps k whose thresholds `count_thresholds` computes in one object array.
-_THRESHOLD_BLOCK = 1 << 10
+def _threshold_line(a: float, b: float, x: float) -> tuple[int, int, int]:
+    """Integers (nu, nw, q), q > 0, with (x - k*b) / (a - b) = (nu - k*nw) / q
+    exactly for every k: the doubles over their common power-of-two
+    denominator, reduced by the common factor."""
+    ratios = [v.as_integer_ratio() for v in (x, b, a)]
+    den = max(d for _, d in ratios)
+    nx, nb, na = (num * (den // d) for num, d in ratios)
+    g = math.gcd(nx, nb, na - nb)
+    return nx // g, nb // g, (na - nb) // g
+
+
+#: Error bound of the float64 estimate u - k*w, relative to |u| + k|w|: the
+#: conversions of u and w, the product and the difference each round once by
+#: at most 2^-53 relative, 3 * 2^-53 in all up to second-order terms; 8 leaves
+#: room for the roundings of the bound itself and of est -/+ err.
+_ESTIMATE_ERR = 8 * 2.0**-53
+#: Absolute part of the same bound: a subnormal u, w or k*w rounds by 2^-1075.
+_ESTIMATE_TINY = 1e-300
 
 
 def count_thresholds(a: float, b: float, x: float, n: int) -> np.ndarray:
@@ -290,33 +305,39 @@ def count_thresholds(a: float, b: float, x: float, n: int) -> np.ndarray:
 
     A path of k steps, j of them at a and k - j at b < a, has sum
     j*a + (k - j)*b >= x exactly when j >= j*_k; j*_k = 0 means every such
-    path reaches x, and k + 1 that none does.  The thresholds are computed in
-    integers from the exact values of the doubles a, b and x, so no rounding
-    enters the comparison.
+    path reaches x, and k + 1 that none does.  With (x - k*b) / (a - b) =
+    (nu - k*nw) / q in integers (`_threshold_line`), j*_k = (nu + q - 1 -
+    k*nw) // q, computed in int64 when every term fits.  Otherwise a float64
+    estimate u - k*w brackets the exact value within its proven rounding
+    error; a k whose bracket ends have one clamped ceiling takes it, and any
+    other k is recomputed in Python integers, so no rounding or tolerance
+    decides a threshold.
     """
     if not a > b:
         raise ValueError(f"need a > b, got a={a}, b={b}")
-    width = Fraction(a) - Fraction(b)
-    u, w = Fraction(x) / width, Fraction(b) / width
-    q = math.lcm(u.denominator, w.denominator)
-    nu, nw = u.numerator * (q // u.denominator), w.numerator * (q // w.denominator)
-    # ceil((nu - k*nw) / q) = (nu + q - 1 - k*nw) // q for q > 0, on Python
-    # ints in an object array, one block of k at a time and in place, so at
-    # most one block of big ints is alive; clamped to [0, k + 1] before the
-    # cast to int64
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    nu, nw, q = _threshold_line(a, b, x)
     top = nu + q - 1
-    out = np.empty(n + 1, dtype=np.int64)
-    for lo in range(0, n + 1, _THRESHOLD_BLOCK):
-        hi = min(n + 1, lo + _THRESHOLD_BLOCK)
-        j = np.arange(lo, hi, dtype=object)
-        cap = j + 1
-        np.multiply(j, nw, out=j)
-        np.subtract(top, j, out=j)
-        np.floor_divide(j, q, out=j)
-        np.maximum(j, 0, out=j)
-        np.minimum(j, cap, out=j)
-        out[lo:hi] = j.tolist()
-    return out
+    k = np.arange(n + 1, dtype=np.int64)
+    if abs(top) + n * abs(nw) < 1 << 63 and q < 1 << 63:
+        return np.clip((top - k * nw) // q, 0, k + 1)
+    # |k*w| <= n*2^53 (adjacent doubles bound |b|/(a - b)), so capping |u| at
+    # 2^1000 keeps every clamped ceiling and no float overflows
+    u = nu / q if abs(nu) <= q << 1000 else (2.0**1000 if nu > 0 else -(2.0**1000))
+    w = nw / q
+    kf = k.astype(np.float64)
+    est = u - kf * w
+    err = _ESTIMATE_ERR * (abs(u) + kf * abs(w)) + _ESTIMATE_TINY
+    # the clamped ceiling is monotone in the value, so the bracket's ends
+    # decide it wherever they agree; the clip to [-1, n + 2] keeps the casts
+    # in range and changes no clamped ceiling
+    lo = np.clip(np.ceil(np.clip(est - err, -1, n + 2)).astype(np.int64), 0, k + 1)
+    hi = np.clip(np.ceil(np.clip(est + err, -1, n + 2)).astype(np.int64), 0, k + 1)
+    near = np.flatnonzero(lo != hi)
+    exact = (top - near.astype(object) * nw) // q
+    lo[near] = np.minimum(np.maximum(exact, 0), near + 1)
+    return lo
 
 
 def exceedance_tail(law: IncrementLaw, y: float, n: int) -> tuple[float, float]:

@@ -5,10 +5,18 @@ with `count_thresholds` or `montecarlo.event_test`, which decide by up-step
 counts, so Monte Carlo and the oracle can be checked against it.
 """
 
+import functools
 import itertools
 from fractions import Fraction
 
 from smbounds.processes import EventVariant, budget_steps
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _partial_sums(increments: tuple) -> tuple:
+    """The exact rational partial sums of one path; a test that decides many
+    events on the same paths builds each path's sums once."""
+    return tuple(itertools.accumulate(map(Fraction, increments)))
 
 
 def exact_hit(increments, per_step: float, spec) -> bool:
@@ -21,7 +29,7 @@ def exact_hit(increments, per_step: float, spec) -> bool:
     need both conditions at the same k.
     """
     x = Fraction(spec.x)
-    reached = [s >= x for s in itertools.accumulate(map(Fraction, increments))]
+    reached = [s >= x for s in _partial_sums(tuple(increments))]
     k_max = budget_steps(per_step, len(reached), spec.v)
     if spec.variant in (EventVariant.STOPPED_ANY_K, EventVariant.TRUNCATED_ANY_K):
         return any(reached[:k_max])

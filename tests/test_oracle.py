@@ -205,13 +205,34 @@ class TestDpInternals:
         # 0 absorbs one, 1e9 none
         laws = [RADEMACHER] + [orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
                                for spec in ("extremal:0.5", "bounded:0.45", "drifted:0.5,0.1")]
+        cases = [(law, n, x) for law in laws for n in (1, 2, 5, 40, 300)
+                 for x in (-1.0, 0.0, 1.0, 0.3 * n, float(n), 1e9)]
+        # at the deep-oracle benchmark's horizon the thresholds of the two
+        # non-dyadic laws leave int64: the float64 estimate and its exact
+        # fallback place them
+        n, x = 2000, 0.3 * 2000
+        for law in laws[2:]:
+            (a, _), (b, _) = sorted(law.atoms, reverse=True)
+            nu, nw, q = prc._threshold_line(a, b, x)
+            assert abs(nu + q - 1) + n * abs(nw) >= 1 << 63
+            cases.append((law, n, x))
+        for law, n, x in cases:
+            absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
+            ref_cum, ref_final = _float_count_dp(law, n, x)
+            assert [v.hex() for v in absorbed_cum] == [v.hex() for v in ref_cum]
+            assert [v.hex() for v in final] == [v.hex() for v in ref_final]
+
+    def test_defect_is_the_correctly_rounded_one_within_1e_15(self):
+        # the pairwise sum of the surviving masses moves the defect by about
+        # an ulp of 1 from the one taken with math.fsum
+        laws = [RADEMACHER] + [orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
+                               for spec in ("extremal:0.5", "bounded:0.45", "drifted:0.5,0.1")]
         for law in laws:
-            for n in (1, 2, 5, 40, 300):
-                for x in (-1.0, 0.0, 1.0, 0.3 * n, float(n), 1e9):
-                    absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
-                    ref_cum, ref_final = _float_count_dp(law, n, x)
-                    assert [v.hex() for v in absorbed_cum] == [v.hex() for v in ref_cum]
-                    assert [v.hex() for v in final] == [v.hex() for v in ref_final]
+            for n in (1, 5, 300, 2000):
+                for x in (-1.0, 0.0, 0.3 * n, float(n), 1e9):
+                    absorbed_cum, final, defect = orc.first_passage_dp(law, n, x)
+                    exact = abs(1.0 - absorbed_cum[-1] - math.fsum(final))
+                    assert abs(defect - exact) <= 1e-15
 
     def test_nesting_invariant(self):
         rng = np.random.default_rng(11)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from reference import exact_hit
 from smbounds import montecarlo as mc
 from smbounds import processes as prc
+from smbounds import suites
 
 ZOO = [
     prc.TwoPointExtremal(0.5),
@@ -273,6 +274,16 @@ class TestEventHit:
         assert seen == {False, True}
 
 
+def _per_step_thresholds(a, b, x, n):
+    """j*_k clamped to [0, k + 1], one Fraction-derived floor division per k:
+    the reference that every fast path of `count_thresholds` must match."""
+    width = Fraction(a) - Fraction(b)
+    u, w = Fraction(x) / width, Fraction(b) / width
+    q = math.lcm(u.denominator, w.denominator)
+    nu, nw = u.numerator * (q // u.denominator), w.numerator * (q // w.denominator)
+    return [min(k + 1, max(0, -((k * nw - nu) // q))) for k in range(n + 1)]
+
+
 class TestCountThresholds:
     def test_matches_the_definition(self):
         # j*_k is the fewest upper steps of k whose exact sum reaches x
@@ -290,15 +301,7 @@ class TestCountThresholds:
                 assert thresholds[k] == want
 
     def test_matches_the_per_step_loop(self):
-        # the per-k comprehension the block computation replaced, on random
-        # atoms (some both positive), extreme thresholds and block boundaries
-        def per_step(a, b, x, n):
-            width = Fraction(a) - Fraction(b)
-            u, w = Fraction(x) / width, Fraction(b) / width
-            q = math.lcm(u.denominator, w.denominator)
-            nu, nw = u.numerator * (q // u.denominator), w.numerator * (q // w.denominator)
-            return [min(k + 1, max(0, -((k * nw - nu) // q))) for k in range(n + 1)]
-
+        # random atoms (some both positive) and extreme thresholds
         rng = np.random.default_rng(29)
         for i in range(1200):
             a, b = sorted(rng.uniform(-2.0, 2.0, 2).tolist(), reverse=True)
@@ -308,7 +311,27 @@ class TestCountThresholds:
             n = int(rng.integers(0, 60)) if i % 100 else [1023, 1024, 1025, 2049][i // 100 % 4]
             thresholds = prc.count_thresholds(a, b, x, n)
             assert thresholds.dtype == np.int64
-            assert thresholds.tolist() == per_step(a, b, x, n)
+            assert thresholds.tolist() == _per_step_thresholds(a, b, x, n)
+
+    def test_exact_on_the_corpus_and_benchmark_laws(self):
+        # every law the oracle suite and the deep-oracle benchmark run, on
+        # horizons whose terms fit int64 and ones that leave it, and on
+        # thresholds from signed zeros and the smallest subnormal to 1e308
+        laws = suites._corpus_laws() + [prc.parse_law(spec) for spec in
+                                        ("extremal:0.5", "bounded:0.45", "drifted:0.5,0.1")]
+        for (a, _), (b, _) in dict.fromkeys(law.atoms() for law in laws):
+            for n in (1, 2, 3, 5, 300, 2000, 10**4):
+                for x in (0.0, -0.0, 1.0, -1.0, 0.1 * n, 0.3 * n, float(n), 1e9, -1e9,
+                          1e308, -1e308, 5e-324, -5e-324):
+                    assert prc.count_thresholds(a, b, x, n).tolist() == \
+                        _per_step_thresholds(a, b, x, n)
+        # the grid holds values no float64 estimate can place: on
+        # drifted:0.5,0.1 at x = 0.3n, every k = 0 mod 5 has an exact
+        # (x - k*b) / (a - b) within 1e-12 of an integer
+        (a, _), (b, _) = prc.parse_law("drifted:0.5,0.1").atoms()
+        fa, fb, fx = Fraction(a), Fraction(b), Fraction(0.3 * 2000)
+        exact = [(fx - k * fb) / (fa - fb) for k in range(2001)]
+        assert sum(abs(e - round(e)) < 1e-12 for e in exact) >= 400
 
     def test_non_dyadic_boundary(self):
         # 1 + 2 * (-0.45) < 0.1 for the doubles: one up step in three is short
@@ -317,6 +340,11 @@ class TestCountThresholds:
     def test_rejects_unordered_atoms(self):
         with pytest.raises(ValueError):
             prc.count_thresholds(-0.45, 1.0, 0.1, 3)
+
+    @pytest.mark.parametrize("n", [-1, -2])
+    def test_rejects_a_negative_horizon(self, n):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            prc.count_thresholds(1.0, -0.45, 0.1, n)
 
 
 class TestGeneratorKeying:

@@ -152,16 +152,19 @@ def _reference_dp(law, n, x):
     return absorbed_cum, dist
 
 
-def _float_count_dp(law, n, x):
+def _float_count_dp(law, n, x, start=(1, (1.0,))):
     """The count-state pass as a plain Python-float loop: new[j] = m[j]*pb +
-    m[j-1]*pa, absorbing the counts j >= j*_k of `count_thresholds`."""
+    m[j-1]*pa, absorbing the counts j >= j*_k of `count_thresholds`.  It runs
+    from step k0 on, given the masses over the counts after step k0 - 1 as
+    start = (k0, masses); by default from step 1, with all mass at count 0."""
     (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
     thresholds = prc.count_thresholds(a, b, x, n).tolist()
-    m, absorbed, absorbed_cum = [1.0], 0.0, [0.0]
-    for k in range(1, n + 1):
-        padded = [0.0] + m + [0.0]
+    k0, m = start
+    m, absorbed, absorbed_cum = list(m), 0.0, [0.0] * k0
+    zero = [0.0]
+    for k in range(k0, n + 1):
         # once no state is left, no step makes one
-        new = [padded[j + 1] * pb + padded[j] * pa for j in range(len(m) + 1)] if m else []
+        new = [u * pb + w * pa for u, w in zip(m + zero, zero + m)] if m else []
         cut = min(thresholds[k], len(new))
         # with b < 0 the thresholds never fall, so at most two states (both
         # at step 1) are absorbed at once, whose sum any order rounds alike
@@ -170,6 +173,44 @@ def _float_count_dp(law, n, x):
         m = new[:cut]
         absorbed_cum.append(absorbed)
     return absorbed_cum, m
+
+
+def _first_absorbing_step(law, n, x):
+    """The first step k >= 1 at which some count reaches x, or n + 1."""
+    (a, _), (b, _) = sorted(law.atoms, reverse=True)
+    thresholds = prc.count_thresholds(a, b, x, n)
+    return next((k for k in range(1, n + 1) if thresholds[k] <= k), n + 1)
+
+
+def _max_rel_gap(got, want):
+    """The largest |got - want| / max(|got|, |want|) over the entries where
+    either is a normal double."""
+    got, want = np.asarray(got), np.asarray(want)
+    scale = np.maximum(abs(got), abs(want))
+    normal = scale >= sys.float_info.min
+    return float(np.max(abs(got - want)[normal] / scale[normal], initial=0.0))
+
+
+def _over_common_denominator(p, q):
+    """Integers a, b and d with p = a/d and q = b/d exactly, for doubles p, q."""
+    fp, fq = Fraction(p), Fraction(q)
+    d = math.lcm(fp.denominator, fq.denominator)
+    return fp.numerator * (d // fp.denominator), fq.numerator * (d // fq.denominator), d
+
+
+def _exact_binomial_pmf(m, pa, pb):
+    """Binomial(m, pa / (pa + pb)) pmf for the doubles pa and pb, exact in
+    integers and rounded once per term."""
+    a, b, _ = _over_common_denominator(pa, pb)
+    total, term, pmf = (a + b)**m, b**m, []
+    for j in range(m + 1):
+        pmf.append(term / total)
+        term = term * (m - j) * a // ((j + 1) * b)  # C(m, j + 1) a^(j+1) b^(m-j-1)
+    return pmf
+
+
+DP_LAWS = [RADEMACHER] + [orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
+                          for spec in ("extremal:0.5", "bounded:0.45", "drifted:0.5,0.1")]
 
 
 class TestDpInternals:
@@ -199,35 +240,97 @@ class TestDpInternals:
                 assert np.allclose(absorbed_cum, ref_cum, rtol=0, atol=1e-14)
 
     def test_bits_match_the_float_count_loop(self):
-        # every state is the same two rounded products and one rounded add as
-        # in the plain loop, so absorbed_cum and final agree bit for bit; x = -1
-        # absorbs both states of step 1 (the slice sum, then the early break),
-        # 0 absorbs one, 1e9 none
-        laws = [RADEMACHER] + [orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
-                               for spec in ("extremal:0.5", "bounded:0.45", "drifted:0.5,0.1")]
-        cases = [(law, n, x) for law in laws for n in (1, 2, 5, 40, 300)
+        # from the first absorbing step k0 on, every state is the same two
+        # rounded products and one rounded add as in the plain loop, so given
+        # the same Binomial(k0 - 1) start absorbed_cum and final agree bit for
+        # bit; x = -1 absorbs both states of step 1 (the slice sum, then the
+        # early break), 0 absorbs one, 1e9 none
+        cases = [(law, n, x) for law in DP_LAWS for n in (1, 2, 5, 40, 300)
                  for x in (-1.0, 0.0, 1.0, 0.3 * n, float(n), 1e9)]
         # at the deep-oracle benchmark's horizon the thresholds of the two
         # non-dyadic laws leave int64: the float64 estimate and its exact
         # fallback place them
         n, x = 2000, 0.3 * 2000
-        for law in laws[2:]:
+        for law in DP_LAWS[2:]:
             (a, _), (b, _) = sorted(law.atoms, reverse=True)
             nu, nw, q = prc._threshold_line(a, b, x)
             assert abs(nu + q - 1) + n * abs(nw) >= 1 << 63
             cases.append((law, n, x))
         for law, n, x in cases:
+            (_, pa), (_, pb) = sorted(law.atoms, reverse=True)
+            k0 = _first_absorbing_step(law, n, x)
+            start = (k0, orc._binomial_pmf(k0 - 1, pa, pb).tolist())
             absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
-            ref_cum, ref_final = _float_count_dp(law, n, x)
+            ref_cum, ref_final = _float_count_dp(law, n, x, start)
             assert [v.hex() for v in absorbed_cum] == [v.hex() for v in ref_cum]
             assert [v.hex() for v in final] == [v.hex() for v in ref_final]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 40, 300, 1000, 2000])
+    def test_the_whole_pass_is_within_tolerance_of_the_loop_from_step_0(self, n):
+        # the Binomial(k0 - 1) start rounds differently from k0 - 1 steps of
+        # the loop; the largest gaps measured on this grid are 8.4e-14
+        # (absorbed_cum) and 1.5e-13 (final), and the largest defect 1.14e-13
+        laws = DP_LAWS + [TestDpVsEnumeration.LAWS[3]]
+        rng = np.random.default_rng(n)
+        xs = [-5.0, -1.0, 0.0, 0.05 * n, 0.3 * n, float(n), 1e9, *rng.uniform(-1.0, n, 4)]
+        for law in laws:
+            for x in xs:
+                absorbed_cum, final, defect = orc.first_passage_dp(law, n, x)
+                ref_cum, ref_final = _float_count_dp(law, n, x)
+                assert len(absorbed_cum) == len(ref_cum) and len(final) == len(ref_final)
+                assert _max_rel_gap(absorbed_cum, ref_cum) <= 1e-13
+                assert _max_rel_gap(final, ref_final) <= 5e-13
+                assert defect <= 1e-12
+
+    def test_a_pass_that_absorbs_at_step_1_starts_from_one_state(self):
+        # x <= a: k0 = 1, the start is [1.0], and the pass is the plain loop's
+        # bit for bit
+        for law in DP_LAWS:
+            (_, pa), (_, pb) = sorted(law.atoms, reverse=True)
+            assert orc._binomial_pmf(0, pa, pb).tolist() == [1.0]
+            for n in (1, 5, 300):
+                for x in (-1.0, 0.0):
+                    assert _first_absorbing_step(law, n, x) == 1
+                    absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
+                    ref_cum, ref_final = _float_count_dp(law, n, x)
+                    assert [v.hex() for v in absorbed_cum] == [v.hex() for v in ref_cum]
+                    assert [v.hex() for v in final] == [v.hex() for v in ref_final]
+
+    def test_a_pass_that_never_absorbs_is_the_binomial_pmf(self):
+        # x = 1e9: k0 = n + 1, no step runs, and the surviving masses are the
+        # Binomial(n, p_a) pmf
+        for law in DP_LAWS:
+            (_, pa), (_, pb) = sorted(law.atoms, reverse=True)
+            for n in (1, 40, 2000):
+                assert _first_absorbing_step(law, n, 1e9) == n + 1
+                absorbed_cum, final, defect = orc.first_passage_dp(law, n, 1e9)
+                assert absorbed_cum == [0.0] * (n + 1)
+                assert final == orc._binomial_pmf(n, pa, pb).tolist()
+                assert defect <= 1e-15
+
+    def test_a_budget_before_the_first_absorbing_step_stops_nothing(self):
+        # k_max < k0: the pass over the budget's steps absorbs nothing
+        for law in DP_LAWS:
+            n, x = 40, 20.0
+            v = math.sqrt(10 * law.m2 * (1 + 1e-9))  # k_max = 10
+            assert prc.budget_steps(law.m2, n, v) == 10 < _first_absorbing_step(law, n, x)
+            res = orc.exact_event_probability(law, n, x, v)
+            assert (res.p_stopped, res.p_max, res.p_final) == (0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("pa", [1e-6, 1 / 3, 1 - 1e-6])
+    @pytest.mark.parametrize("m", [0, 1, 50, 2000])
+    def test_binomial_pmf_at_extreme_probabilities(self, pa, m):
+        # a RuntimeWarning fails the test; terms below 1e-300 may underflow
+        pmf = orc._binomial_pmf(m, pa, 1.0 - pa)
+        assert len(pmf) == m + 1 and np.all(np.isfinite(pmf))
+        exact = np.array(_exact_binomial_pmf(m, pa, 1.0 - pa))
+        big = exact >= 1e-300
+        assert np.allclose(pmf[big], exact[big], rtol=1e-12, atol=0)
 
     def test_defect_is_the_correctly_rounded_one_within_1e_15(self):
         # the pairwise sum of the surviving masses moves the defect by about
         # an ulp of 1 from the one taken with math.fsum
-        laws = [RADEMACHER] + [orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
-                               for spec in ("extremal:0.5", "bounded:0.45", "drifted:0.5,0.1")]
-        for law in laws:
+        for law in DP_LAWS:
             for n in (1, 5, 300, 2000):
                 for x in (-1.0, 0.0, 0.3 * n, float(n), 1e9):
                     absorbed_cum, final, defect = orc.first_passage_dp(law, n, x)
@@ -316,9 +419,7 @@ def _binomial_tail(p: float, q: float, n: int, j0: int) -> float:
     1 + r_j0 (1 + r_j0+1 (1 + ... r_n-1)) with r_j = (n - j) p / ((j + 1) q)."""
     if j0 > n:
         return 0.0
-    fp, fq = Fraction(p), Fraction(q)
-    d = math.lcm(fp.denominator, fq.denominator)
-    a, b = fp.numerator * (d // fp.denominator), fq.numerator * (d // fq.denominator)
+    a, b, d = _over_common_denominator(p, q)
     num = den = 1
     for j in range(n - 1, j0 - 1, -1):
         num, den = (j + 1) * b * den + (n - j) * a * num, (j + 1) * b * den

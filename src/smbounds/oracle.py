@@ -12,19 +12,24 @@ closed-form tail of the Binomial(n, p_a) count of upper steps.  A
 brute-force path enumeration is kept as an independent route.
 
 Every passage decision is exact in integers.  A law on two atoms a > b is
-tracked by the count j of a-steps: a mass vector over j takes one
-`np.correlate` call per step, absorption truncates it, and the sum reaches x
-exactly when j >= j*_k of `processes.count_thresholds`, the test Monte Carlo
-applies to its sampled paths.  Before the first step k0 at which some count
-can reach x nothing is absorbed, so the pass starts at k0 from the
-Binomial(k0 - 1, p_a) pmf, the closed form of those steps.  It rounds
-differently from stepping, and the tests hold the absorbed probabilities
-within 1e-13 relative of a pass stepped from count 0.  The comparison with
-the bounds is `suites.exact_vs_bound`, which checks their hypotheses.
+tracked by the count j of a-steps, and the sum reaches x exactly when
+j >= j*_k of `processes.count_thresholds`, the test Monte Carlo applies to
+its sampled paths.  Before the first step k0 at which some count can reach x
+nothing is absorbed, so the pass starts at k0 from the Binomial(k0 - 1, p_a)
+pmf, the closed form of those steps.  From there it advances a block of
+BLOCK_STEPS steps at a time: the counts that cannot reach x within the block
+in one convolution with the Binomial(BLOCK_STEPS, p_a) weights, the band
+below the threshold through a cached transfer matrix.  The absorbed
+probability by step k is the same bits for every horizon n >= k.  The blocks round
+differently from stepping one step at a time, and the tests hold the
+absorbed probabilities within 1e-13 relative of a pass stepped from count 0
+and within 2e-14 of an exact integer pass.  The comparison with the bounds
+is `suites.exact_vs_bound`, which checks their hypotheses.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,6 +51,13 @@ __all__ = [
 STATE_CAP = 10**6
 #: Enumeration walks 2^n paths; refuse beyond this horizon.
 ENUM_MAX_N = 25
+#: Steps that `first_passage_dp` advances per block.
+BLOCK_STEPS = 48
+#: Entries of each of the two caches of `first_passage_dp`: the band
+#: transfers, each at most 3 * BLOCK_STEPS^2 doubles (55 KB), and the block
+#: kernels, each BLOCK_STEPS + 1 doubles; 7.1 MB in all at most, whatever n.
+TRANSFER_CACHE = 128
+_STEPS = np.arange(1, BLOCK_STEPS + 1)
 
 
 class StateSpaceError(RuntimeError):
@@ -102,29 +114,41 @@ def first_passage_dp(
     absorbing mass at the first k where X_k >= x.
 
     For atoms a > b the state after k steps is the count j of a-steps, held as
-    a mass vector over the counts j < live not yet absorbed.  A step is one C
-    call, `np.correlate(m, [p_a, p_b], "full")`, which makes each
-    m'[j] = m[j-1] p_a + m[j] p_b of two rounded products and one rounded add.
-    The sum reaches x exactly when j >= j*_k (`count_thresholds`), so the
-    surviving states are always a prefix and absorption truncates the vector
-    to j < j*_k; once it is empty no later step moves any mass.
+    a mass vector over the counts j < live not yet absorbed.  The sum reaches
+    x exactly when j >= j*_k (`count_thresholds`), so the surviving states
+    are always a prefix of the vector, and once it is empty no later step
+    moves any mass.  Nothing is absorbed before the first step k0 with
+    j*_k0 <= k0 (n + 1 if there is none), so the pass starts there from the
+    Binomial(k0 - 1, p_a) pmf of `_binomial_pmf`.
 
-    Nothing is absorbed before the first step k0 with j*_k0 <= k0 (n + 1 if
-    there is none), so the pass starts there from the Binomial(k0 - 1, p_a)
-    pmf of `_binomial_pmf` rather than running k0 - 1 steps from count 0.
-    From k0 on each state is the stepping arithmetic above, bit for bit; the
-    start rounds differently, and over the laws and horizons the tests cover
-    (n <= 2000) the result stays within 1e-13 relative of a pass stepped from
-    count 0 in the absorbed probabilities and within 5e-13 in the normal
-    surviving masses.
+    From k0 on the pass advances B = BLOCK_STEPS steps per block, the last
+    block cut short at n.  In the block after step s no count below
+    lo = max(0, min(live, min_i (j*_(s+i) - i))), i = 1..B, can reach x, so
+    that interior advances in one `np.correlate` with the Binomial(B, p_a)
+    weights of `_block_kernel`, each correctly rounded.  The band of counts
+    [lo, live) advances through `_band_transfer`: two matrix products give its
+    surviving masses and the mass it loses at each step.  A transfer depends
+    only on p_a, p_b, the band width and the thresholds relative to lo, whose
+    windows repeat from block to block and pass to pass, so the transfers sit
+    in a cache bounded whatever n (TRANSFER_CACHE).
+
+    What is bit-exact: every block reads a full window of thresholds (up to
+    n + B), so lo and the band do not depend on n; a block cut short at n
+    takes the first rows of the same products; and the absorbed masses are
+    summed once, in step order.  So the absorbed probability by step k is the
+    same bits for every horizon n >= k, and a pass cut at the budget k_max
+    gives the entry k_max of any longer pass.  What is within tolerance: the
+    blocks round differently from stepping one step at a time.  The tests
+    hold the absorbed probabilities within 1e-13 relative of a pass stepped
+    from count 0 (n <= 2000), the normal surviving masses within 5e-13 and
+    the defect below 1e-12, and the absorbed probabilities within 2e-14 of an
+    exact integer pass (n <= 300).
 
     Returns (cumulative absorbed probability by step k for k = 0..n, the
     surviving masses over the counts j < live after step n, whose sums are
     j*a + (n - j)*b, and the mass defect |1 - absorbed - surviving|).  The
     defect takes the surviving mass from numpy's pairwise sum, whose error
-    (about 1e-15) is far below the 1e-12 that every use of the defect allows;
-    `math.fsum` over masses spanning some 300 decades costs as much as a
-    tenth of the pass.
+    (about 1e-15) is far below the 1e-12 that every use of the defect allows.
     """
     if not math.isfinite(x):
         raise ValueError(f"x must be finite, got {x}")
@@ -133,28 +157,96 @@ def first_passage_dp(
     (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
     if n + 1 > STATE_CAP:
         raise StateSpaceError(f"{n + 1} count states exceed the cap {STATE_CAP}")
-    thresholds = count_thresholds(a, b, x, n).tolist()
+    thresholds = count_thresholds(a, b, x, n + BLOCK_STEPS)
     # before the first step k0 that absorbs, the counts are Binomial(k, p_a)
-    k0 = next((k for k in range(1, n + 1) if thresholds[k] <= k), n + 1)
-    kernel = np.array([pa, pb])
+    first = np.flatnonzero(thresholds[1:n + 1] <= np.arange(1, n + 1))
+    k0 = int(first[0]) + 1 if first.size else n + 1
     mass = _binomial_pmf(k0 - 1, pa, pb)
-    absorbed = 0.0
-    absorbed_cum = [0.0] * k0
     live = k0  # len(mass)
-    for k in range(k0, n + 1):
-        mass = np.correlate(mass, kernel, "full")  # m[j-1] p_a + m[j] p_b
-        live += 1
-        cut = thresholds[k]
-        if cut < live:
-            # one absorbed state is read as a scalar; its sum is itself
-            absorbed += float(mass[cut]) if cut == live - 1 else float(mass[cut:].sum())
-            mass = mass[:cut]
-            live = cut
-            if not live:
-                absorbed_cum += [absorbed] * (n - k + 1)
-                break
-        absorbed_cum.append(absorbed)
+    starts = range(k0 - 1, n, BLOCK_STEPS)
+    windows = thresholds[k0:k0 + len(starts) * BLOCK_STEPS].reshape(-1, BLOCK_STEPS)
+    # min over the block's steps i of j*_(s+i) - i: the lowest count that can
+    # be absorbed within the block that starts after step s
+    reach = (windows - _STEPS).min(axis=1).tolist()
+    gains = np.zeros(windows.shape)  # the mass absorbed at each step from k0 on
+    for s, window, low, gained in zip(starts, windows, reach, gains):
+        steps = min(BLOCK_STEPS, n - s)
+        lo = max(0, min(live, low))
+        new = np.correlate(mass[:lo], _block_kernel(pa, pb, steps), "full") if lo else None
+        # one chunk unless b > 0, where the band can be wider than a block
+        for c0 in range(lo, live, BLOCK_STEPS):
+            band = mass[c0:c0 + BLOCK_STEPS]
+            cuts = window[:steps] - c0
+            state, absorbs = _band_transfer(pa, pb, len(band), cuts.tobytes())
+            gained += absorbs @ band
+            part = state @ band
+            if new is None:  # lo = c0 = 0
+                new = part
+                continue
+            end = c0 + len(part)
+            if end > len(new):
+                new = np.concatenate((new, np.zeros(end - len(new))))
+            new[c0:end] += part
+        mass, live = new, len(new)
+        if not live:
+            break
+    absorbed_cum = [0.0] * k0 + np.cumsum(gains.ravel()[:n + 1 - k0]).tolist()
     return absorbed_cum, mass.tolist(), abs(1.0 - absorbed_cum[-1] - float(mass.sum()))
+
+
+@functools.lru_cache(maxsize=TRANSFER_CACHE)
+def _block_kernel(pa: float, pb: float, steps: int) -> np.ndarray:
+    """The weights C(steps, j) pa^j pb^(steps - j) for j = steps down to 0,
+    the order in which `np.correlate` applies them as a convolution; each is
+    the correctly rounded value of the exact product of the doubles pa and
+    pb, integers over their common power-of-two denominator divided once."""
+    (na, da), (nb, db) = pa.as_integer_ratio(), pb.as_integer_ratio()
+    d = max(da, db)
+    na, nb, den = na * (d // da), nb * (d // db), d**steps
+    kernel = np.array([math.comb(steps, j) * na**j * nb**(steps - j) / den
+                       for j in range(steps, -1, -1)])
+    kernel.flags.writeable = False
+    return kernel
+
+
+@functools.lru_cache(maxsize=TRANSFER_CACHE)
+def _band_transfer(pa: float, pb: float, width: int, cuts: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """The transfer of a band of `width` counts through len(cuts) <=
+    BLOCK_STEPS steps, where step i absorbs the counts r >= cuts[i] counted
+    from the band's bottom (`cuts` holds int64 bytes, the cache key).
+
+    Returns (state, absorbs): column c holds, for unit mass started at count
+    c, the surviving masses after the last step (state) and the mass
+    absorbed at each step (absorbs, zero past the last step).  absorbs has
+    BLOCK_STEPS rows whatever len(cuts), so `absorbs @ band` has one shape,
+    and one arithmetic per row, for a window cut short as for the whole one:
+    stepping is causal, so a prefix of `cuts` gives the same first rows, bit
+    for bit.  The band's identity is stepped as one flat vector, each column
+    in a slot long enough that no mass reaches the next, with one
+    `np.correlate` a step: two rounded products and one rounded add."""
+    cuts = np.frombuffer(cuts, dtype=np.int64).tolist()
+    stride = width + len(cuts) + 1
+    flat = np.zeros(width * stride)
+    flat[::stride + 1] = 1.0  # column c starts as unit mass at count c
+    absorbs = np.zeros((BLOCK_STEPS, width))
+    kernel = np.array([pa, pb])
+    live = width
+    for i, cut in enumerate(cuts):
+        flat = np.correlate(flat, kernel, "same")  # m[j-1] p_a + m[j] p_b
+        live += 1
+        if cut == live - 1:  # the usual single row, a strided slice
+            absorbs[i] = flat[cut::stride]
+            flat[cut::stride] = 0.0
+        elif cut < live:
+            rows = flat.reshape(width, stride)[:, max(cut, 0):live]
+            absorbs[i] = rows.sum(axis=1)
+            rows[...] = 0.0
+        live = min(live, max(cut, 0))
+        if not live:
+            break
+    state = np.ascontiguousarray(flat.reshape(width, stride)[:, :live].T)
+    state.flags.writeable = absorbs.flags.writeable = False
+    return state, absorbs
 
 
 def _final_tail(law: LatticeLaw, n: int, x: float) -> float:

@@ -41,6 +41,13 @@ def _require_finite(**kwargs: float) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_square(name: str, value: float) -> None:
+    """Refuse a value whose square underflows to 0 or overflows: the bounds
+    divide by v^2 and scale by it."""
+    if not 0.0 < value * value < math.inf:
+        raise ValueError(f"{name} squared must be a positive finite double, got {name}={value!r}")
+
+
 @dataclass(frozen=True)
 class TailQuery:
     """Deviation query: threshold x >= 0, variance-budget root v > 0, horizon n >= 1."""
@@ -55,6 +62,7 @@ class TailQuery:
             raise ValueError(f"x must be >= 0, got {self.x}")
         if self.v <= 0:
             raise ValueError(f"v must be > 0, got {self.v}")
+        _require_square("v", self.v)
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
 
@@ -195,6 +203,7 @@ def _require_pair(x: float, v: float) -> None:
     _require_finite(x=x, v=v)
     if x < 0 or v <= 0:
         raise ValueError(f"need x >= 0 and v > 0, got x={x}, v={v}")
+    _require_square("v", v)
 
 
 def hoeffding(q: TailQuery) -> LogProb:
@@ -277,7 +286,9 @@ def azuma_denominator(x: float, n: int, b: float) -> tuple[float, str]:
     _require_finite(x=x, b=b)
     if x < 0 or b <= 0 or n < 1:
         raise ValueError(f"need x >= 0, b > 0, n >= 1, got x={x}, b={b}, n={n}")
-    u_range = n * (1.0 + b) ** 2
+    # a product, not ** 2, so a huge b gives +inf (the variance branch) and
+    # no OverflowError
+    u_range = n * ((1.0 + b) * (1.0 + b))
     u_variance = 4.0 * (n * b + x / 3.0)
     if u_range == u_variance:
         return u_range, "tie"
@@ -317,6 +328,7 @@ def fuk_nagaev(x: float, y: float, v: float, n: int, p_exceed: float) -> FukNaga
         raise ValueError(f"y must be > 0, got {y}")
     if not 0.0 <= p_exceed <= 1.0:
         raise ValueError(f"p_exceed must be in [0, 1], got {p_exceed}")
+    _require_square("v/y", v / y)
     h_term = hoeffding(TailQuery(x / y, v / y, n))
     total = LogProb.from_log(_log_add(h_term.log_value, p_exceed))
     return FukNagaev(h_term, p_exceed, total)
@@ -330,6 +342,7 @@ def courbot(x: float, y: float, v: float, sum_exceed: float, p_qc_exceed: float)
         raise ValueError(f"need x >= 0, y > 0, v > 0, got x={x}, y={y}, v={v}")
     if sum_exceed < 0 or p_qc_exceed < 0:
         raise ValueError("tail terms must be >= 0")
+    _require_square("v/y", v / y)
     f_term = freedman(x / y, v / y)
     return LogProb.from_log(_log_add(f_term.log_value, sum_exceed, p_qc_exceed))
 

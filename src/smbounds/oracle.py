@@ -19,12 +19,15 @@ nothing is absorbed, so the pass starts at k0 from the Binomial(k0 - 1, p_a)
 pmf, the closed form of those steps.  From there it advances a block of
 BLOCK_STEPS steps at a time: the counts that cannot reach x within the block
 in one convolution with the Binomial(BLOCK_STEPS, p_a) weights, the band
-below the threshold through a cached transfer matrix.  The absorbed
-probability by step k is the same bits for every horizon n >= k.  The blocks round
-differently from stepping one step at a time, and the tests hold the
-absorbed probabilities within 1e-13 relative of a pass stepped from count 0
-and within 2e-14 of an exact integer pass.  The comparison with the bounds
-is `suites.exact_vs_bound`, which checks their hypotheses.
+below the threshold through a cached transfer matrix.  One step builds
+both: two rounded products and one rounded add, applied to the band's
+identity for a transfer and to a single count for the weights.  The
+absorbed probability by step k is the same bits for every horizon n >= k.
+The blocks round differently from stepping one step at a time, and the
+tests hold the absorbed probabilities within 1e-13 relative of a pass
+stepped from count 0 and within 2e-14 of an exact integer pass.  The
+comparison with the bounds is `suites.exact_vs_bound`, which checks their
+hypotheses.
 """
 
 from __future__ import annotations
@@ -53,9 +56,10 @@ STATE_CAP = 10**6
 ENUM_MAX_N = 25
 #: Steps that `first_passage_dp` advances per block.
 BLOCK_STEPS = 48
-#: Entries of each of the two caches of `first_passage_dp`: the band
-#: transfers, each at most 3 * BLOCK_STEPS^2 doubles (55 KB), and the block
-#: kernels, each BLOCK_STEPS + 1 doubles; 7.1 MB in all at most, whatever n.
+#: Entries of each of the two caches of `first_passage_dp`: the transfers,
+#: each at most 3 * BLOCK_STEPS^2 doubles (55 KB), and the block kernels,
+#: each BLOCK_STEPS + 1 doubles and built from a one-count transfer of the
+#: first cache; 7.1 MB in all at most, whatever n.
 TRANSFER_CACHE = 128
 _STEPS = np.arange(1, BLOCK_STEPS + 1)
 
@@ -125,12 +129,13 @@ def first_passage_dp(
     block cut short at n.  In the block after step s no count below
     lo = max(0, min(live, min_i (j*_(s+i) - i))), i = 1..B, can reach x, so
     that interior advances in one `np.correlate` with the Binomial(B, p_a)
-    weights of `_block_kernel`, each correctly rounded.  The band of counts
-    [lo, live) advances through `_band_transfer`: two matrix products give its
-    surviving masses and the mass it loses at each step.  A transfer depends
-    only on p_a, p_b, the band width and the thresholds relative to lo, whose
-    windows repeat from block to block and pass to pass, so the transfers sit
-    in a cache bounded whatever n (TRANSFER_CACHE).
+    weights of `_block_kernel`, one count stepped through a block that
+    absorbs nothing.  The band of counts [lo, live) advances through
+    `_band_transfer`: two matrix products give its surviving masses and the
+    mass it loses at each step.  A transfer depends only on p_a, p_b, the
+    band width and the thresholds relative to lo, whose windows repeat from
+    block to block and pass to pass, so the transfers sit in a cache bounded
+    whatever n (TRANSFER_CACHE).
 
     What is bit-exact: every block reads a full window of thresholds (up to
     n + B), so lo and the band do not depend on n; a block cut short at n
@@ -172,7 +177,7 @@ def first_passage_dp(
     for s, window, low, gained in zip(starts, windows, reach, gains):
         steps = min(BLOCK_STEPS, n - s)
         lo = max(0, min(live, low))
-        new = np.correlate(mass[:lo], _block_kernel(pa, pb, steps), "full") if lo else None
+        new = np.correlate(mass[:lo], _block_kernel(pa, pb, steps), "full") if lo else np.zeros(0)
         # one chunk unless b > 0, where the band can be wider than a block
         for c0 in range(lo, live, BLOCK_STEPS):
             band = mass[c0:c0 + BLOCK_STEPS]
@@ -180,9 +185,6 @@ def first_passage_dp(
             state, absorbs = _band_transfer(pa, pb, len(band), cuts.tobytes())
             gained += absorbs @ band
             part = state @ band
-            if new is None:  # lo = c0 = 0
-                new = part
-                continue
             end = c0 + len(part)
             if end > len(new):
                 new = np.concatenate((new, np.zeros(end - len(new))))
@@ -196,15 +198,12 @@ def first_passage_dp(
 
 @functools.lru_cache(maxsize=TRANSFER_CACHE)
 def _block_kernel(pa: float, pb: float, steps: int) -> np.ndarray:
-    """The weights C(steps, j) pa^j pb^(steps - j) for j = steps down to 0,
-    the order in which `np.correlate` applies them as a convolution; each is
-    the correctly rounded value of the exact product of the doubles pa and
-    pb, integers over their common power-of-two denominator divided once."""
-    (na, da), (nb, db) = pa.as_integer_ratio(), pb.as_integer_ratio()
-    d = max(da, db)
-    na, nb, den = na * (d // da), nb * (d // db), d**steps
-    kernel = np.array([math.comb(steps, j) * na**j * nb**(steps - j) / den
-                       for j in range(steps, -1, -1)])
+    """The weights of the Binomial(steps, pa) count for j = steps down to 0,
+    the order in which `np.correlate` applies them as a convolution: the
+    surviving column of a one-count `_band_transfer` whose cuts never absorb,
+    so each weight is built by the pass's own step."""
+    state, _ = _band_transfer(pa, pb, 1, np.full(steps, steps + 1, np.int64).tobytes())
+    kernel = state[::-1, 0].copy()
     kernel.flags.writeable = False
     return kernel
 
@@ -234,10 +233,7 @@ def _band_transfer(pa: float, pb: float, width: int, cuts: bytes) -> tuple[np.nd
     for i, cut in enumerate(cuts):
         flat = np.correlate(flat, kernel, "same")  # m[j-1] p_a + m[j] p_b
         live += 1
-        if cut == live - 1:  # the usual single row, a strided slice
-            absorbs[i] = flat[cut::stride]
-            flat[cut::stride] = 0.0
-        elif cut < live:
+        if cut < live:
             rows = flat.reshape(width, stride)[:, max(cut, 0):live]
             absorbs[i] = rows.sum(axis=1)
             rows[...] = 0.0

@@ -327,7 +327,9 @@ def suite_oracle() -> SuiteReport:
 
     rng = np.random.default_rng(20240917)
     pool = _corpus_laws()
-    extra = orc.LatticeLaw(((1.0, 0.3), (-0.45, 0.7)))  # off-lattice values
+    # atoms 1 and -0.45 at 0.3/0.7, a pair of values and weights that no
+    # corpus law has, so the DP meets thresholds the corpus does not make
+    extra = orc.LatticeLaw(((1.0, 0.3), (-0.45, 0.7)))
     worst = 0.0
     for _ in range(200):
         pick = rng.integers(0, len(pool) + 1)

@@ -36,6 +36,17 @@ class TestTailQueryAndLogProb:
             bnd.TailQuery(1.0, 1.0, 0)
         with pytest.raises(ValueError):
             bnd.TailQuery(math.nan, 1.0, 2)
+        # v^2 underflows to 0 or overflows, and the bounds divide by it; the
+        # truncation bounds rescale v by the level y first
+        for v in (1e-170, 1e170):
+            with pytest.raises(ValueError, match="^v squared"):
+                bnd.TailQuery(1.0, v, 5)
+            with pytest.raises(ValueError, match="^v squared"):
+                bnd.freedman(1.0, v)
+            with pytest.raises(ValueError, match="^v/y squared"):
+                bnd.fuk_nagaev(1.0, 1.0 / v, 1.0, 3, 0.0)
+            with pytest.raises(ValueError, match="^v/y squared"):
+                bnd.courbot(1.0, 1.0 / v, 1.0, 0.0, 0.0)
 
     def test_logprob_clamps(self):
         assert bnd.LogProb.from_log(0.5).log_value == 0.0
@@ -128,6 +139,10 @@ class TestAzumaFamily:
         assert az.branch == "variance"
         assert close(az.u, 64.0 / 3.0)
         assert close(az.bound.value, math.exp(-3.0 / 32.0))
+        # n (1 + b)^2 overflows to +inf, above the finite variance term
+        az = bnd.azuma_refined(1.0, 2, 1e300)
+        assert (az.u, az.branch) == (4.0 * (2e300 + 1.0 / 3.0), "variance")
+        assert az.bound.log_value == -2.0 / az.u
 
     def test_range_branch_past_the_crossover(self):
         # crossover at x = (3/4) n (1-b)^2 = 1.875

@@ -280,6 +280,27 @@ class TestSimulateCommand:
         assert line == f"-1,3,8,,,,,,,1,{ci_low},1,,20240001"
 
 
+@pytest.mark.parametrize("argv, refusal", [
+    ("bounds --x 1 --v 1 --n 2 --b 1e200", None),
+    ("simulate --law extremal:1e300 --x 1 --v 1 --n 3 --trials 10", None),
+    ("bounds --x 1 --v 1e-170 --n 5", "v squared must be a positive finite double, got v=1e-170"),
+    ("bounds --x 1 --v 1e170 --n 5", "v squared must be a positive finite double, got v=1e+170"),
+    ("simulate --law extremal:1 --x 1 --v 1e-200 --n 3 --trials 10",
+     "v squared must be a positive finite double, got v=1e-200"),
+    ("simulate --law extremal:1 --event truncated --y 1e300 --x 1 --v 1 --n 3 --trials 10",
+     "v/y squared must be a positive finite double, got v/y=1e-300"),
+])
+def test_extreme_inputs_are_answered_or_refused(argv, refusal, capsys):
+    # a huge b takes the variance branch of the refined Azuma bound; a v
+    # (or v/y) whose square leaves the doubles is refused by name
+    code, out, err = run(argv.split(), capsys)
+    if refusal is None:
+        assert (code, err) == (0, "") and "azuma_refined" in out
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"smbounds {argv.split()[0]}: {refusal}\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["compare"],
     ["simulate", "--law", "extremal:1", "--x", "1", "--v", "2", "--n", "4", "--trials", "10"],

@@ -276,8 +276,8 @@ class TestDpInternals:
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 40, 300, 1000, 2000])
     def test_the_whole_pass_is_within_tolerance_of_the_loop_from_step_0(self, n):
         # the Binomial(k0 - 1) start rounds differently from k0 - 1 steps of
-        # the loop; the largest gaps measured on this grid are 8.4e-14
-        # (absorbed_cum) and 1.5e-13 (final), and the largest defect 1.14e-13
+        # the loop; the largest gaps measured on this grid are 9.2e-14
+        # (absorbed_cum) and 1.5e-13 (final), and the largest defect 1.0e-13
         laws = DP_LAWS + [TestDpVsEnumeration.LAWS[3]]
         rng = np.random.default_rng(n)
         xs = [-5.0, -1.0, 0.0, 0.05 * n, 0.3 * n, float(n), 1e9, *rng.uniform(-1.0, n, 4)]
@@ -319,13 +319,20 @@ class TestDpInternals:
                 self._check_against_the_exact_integer_pass(law, n, x)
 
     def test_a_band_wider_than_a_block_advances_in_chunks(self):
-        # with both atoms positive the thresholds fall 9 counts a step, so
-        # every one of the k0 > BLOCK_STEPS counts at the first block can be
-        # absorbed within it: the band is wider than a block and is split
-        law = orc.LatticeLaw(((1.0, 0.3), (0.9, 0.7)))
-        for n, x in ((130, 60.0), (300, 90.0)):
+        # with both atoms positive the thresholds fall b / (a - b) counts a
+        # step, so every one of the k0 > BLOCK_STEPS counts at the first
+        # block can be absorbed within it: the band is wider than a block and
+        # is split.  In a full block the chunks above the first lose all
+        # their mass; in the last case's last block, cut short at n (28 steps
+        # after s = 194, lo = 0, live = 133), they keep some, which the
+        # defect sees
+        steep = orc.LatticeLaw(((1.0, 0.3), (0.9, 0.7)))
+        shallow = orc.LatticeLaw(((1.0, 0.1), (0.5643349998049643, 0.9)))
+        for law, n, x in ((steep, 130, 60.0), (steep, 300, 90.0),
+                          (shallow, 222, 146.37354867428687)):
             assert _first_absorbing_step(law, n, x) > orc.BLOCK_STEPS
             self._check_against_the_exact_integer_pass(law, n, x)
+            assert orc.first_passage_dp(law, n, x)[2] <= 1e-12
 
     def test_a_pass_that_never_absorbs_is_the_binomial_pmf(self):
         # x = 1e9: k0 = n + 1, no step runs, and the surviving masses are the
@@ -349,14 +356,20 @@ class TestDpInternals:
             assert (res.p_stopped, res.p_max, res.p_final) == (0.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("pa", [1e-6, 1 / 3, 1 - 1e-6])
-    @pytest.mark.parametrize("m", [0, 1, 50, 2000])
+    @pytest.mark.parametrize("m", [0, 1, 17, 48, 50, 2000])
     def test_binomial_pmf_at_extreme_probabilities(self, pa, m):
-        # a RuntimeWarning fails the test; terms below 1e-300 may underflow
+        # a RuntimeWarning fails the test; terms below 1e-300 may underflow.
+        # Up to a block the stepped weights of the block kernel are held
+        # closer: the largest gap measured here is 3.3e-15
         pmf = orc._binomial_pmf(m, pa, 1.0 - pa)
         assert len(pmf) == m + 1 and np.all(np.isfinite(pmf))
         exact = np.array(_exact_binomial_pmf(m, pa, 1.0 - pa))
         big = exact >= 1e-300
         assert np.allclose(pmf[big], exact[big], rtol=1e-12, atol=0)
+        if 1 <= m <= orc.BLOCK_STEPS:
+            kernel = orc._block_kernel(pa, 1.0 - pa, m)[::-1]
+            assert not kernel.flags.writeable
+            assert np.all(abs(kernel[big] - exact[big]) <= 1e-14 * exact[big])
 
     def test_defect_is_the_correctly_rounded_one_within_1e_15(self):
         # the pairwise sum of the surviving masses moves the defect by about

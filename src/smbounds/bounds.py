@@ -9,6 +9,7 @@ the raw formulas (Haeusler's in particular) exceed 1 in easy regimes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -317,7 +318,10 @@ def hoeffding_bounded(x: float, n: int, b: float, supermartingale: bool = False)
         raise ValueError(f"b must be > 0, got {b}")
     if supermartingale and b > 1:
         raise ValueError(f"supermartingale regime requires 0 < b <= 1, got b={b}")
-    return hoeffding(TailQuery(x, math.sqrt(n * b), n))
+    nb = n * b
+    if not 0.0 < nb < math.inf:
+        raise ValueError(f"n*b must be a positive finite double, got n={n}, b={b!r}")
+    return hoeffding(TailQuery(x, math.sqrt(nb), n))
 
 
 def fuk_nagaev(x: float, y: float, v: float, n: int, p_exceed: float) -> FukNagaev:
@@ -353,7 +357,14 @@ def haeusler(x: float, y: float, v: float) -> LogProb:
     _require_finite(x=x, y=y, v=v)
     if x <= 0 or y <= 0 or v <= 0:
         raise ValueError(f"need x, y, v > 0, got x={x}, y={y}, v={v}")
-    return LogProb.from_log((x / y) * (1.0 - math.log(x * y / (v * v))))
+    xy, v2, tiny = x * y, v * v, sys.float_info.min
+    if tiny <= xy < math.inf and tiny <= v2 < math.inf and tiny <= xy / v2 < math.inf:
+        log_ratio = math.log(xy / v2)
+    else:
+        # a product or the ratio left the normal doubles, where its log is
+        # inexact or undefined: sum the logs of the factors instead
+        log_ratio = math.log(x) + math.log(y) - 2.0 * math.log(v)
+    return LogProb.from_log((x / y) * (1.0 - log_ratio))
 
 
 def bennett_classic(t: float, sigma2: float, n: int) -> LogProb:

@@ -21,9 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import bounds as bnd
-from . import montecarlo as mc
-from . import suites
-from .processes import EventSpec, EventVariant, parse_law
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -304,6 +301,9 @@ def cmd_compare(p: dict[str, Any]) -> int:
 
 
 def cmd_simulate(p: dict[str, Any]) -> int:
+    from . import montecarlo as mc, suites  # numpy, kept off the import path
+    from .processes import EventSpec, EventVariant, parse_law
+
     law = parse_law(p["law"])
     try:
         variant = EventVariant(p["event"])
@@ -350,6 +350,8 @@ def _use_color() -> bool:
 
 
 def cmd_verify(p: dict[str, Any]) -> int:
+    from . import suites  # numpy, kept off the import path
+
     names = list(suites.SUITES) if p["suite"] == "all" else [p["suite"]]
     reports = suites.run_suites(names, trials=p["trials"])
     color = _use_color()

@@ -73,7 +73,10 @@ def cgf_quadratic_bound(lam: float, b: float) -> float:
         raise ValueError(f"lam must be >= 0, got {lam}")
     if not (math.isfinite(b) and b > 0):
         raise ValueError(f"b must be > 0, got {b}")
-    return lam * lam * (1.0 + b) ** 2 / 8.0
+    # squared as a product of lam (1+b), not with ** 2: a huge b gives +inf
+    # and no OverflowError, and lam = 0 gives 0 at any b
+    s = lam * (1.0 + b)
+    return s * s / 8.0
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0

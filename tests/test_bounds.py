@@ -5,6 +5,7 @@ displayed formulas (mpmath); trivial ones are asserted directly.
 """
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -217,6 +218,13 @@ class TestTruncationFamily:
         # so haeusler can never fail where courbot, same exceedance term, passes
         assert bnd.haeusler(x, y, v).log_value >= bnd.freedman(x / y, v / y).log_value
 
+    @pytest.mark.parametrize("scale", [2.0 ** -600, 2.0 ** 600])
+    def test_haeusler_where_the_products_leave_the_doubles(self, scale):
+        # the exponent depends on x/y and xy/v^2 only, so scaling x, y and v
+        # by one power of two keeps it, while xy and v^2 underflow or overflow
+        want = bnd.haeusler(3.0, 1.0, 1.0).log_value
+        assert close(bnd.haeusler(3.0 * scale, scale, scale).log_value, want, rel=1e-11)
+
 
 class TestIndependentCaseForms:
     def test_bennett_classic(self):
@@ -415,3 +423,24 @@ class TestRegistry:
         for name in ("CORE", "ORDERING", "ORDER_SLACK", "core_bounds", "core_logs",
                      "ordering_ok"):
             assert name not in bnd.__all__
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (bnd.LogProb, (math.nan,), "log probability is NaN"),
+    (bnd._log_add, (0.0, -1.0), "tail term must be >= 0, got -1.0"),
+    (bnd.freedman, (-1.0, 1.0), "need x >= 0 and v > 0, got x=-1.0, v=1.0"),
+    (bnd.azuma_denominator, (1.0, 2, 0.0), "need x >= 0, b > 0, n >= 1, got x=1.0, b=0.0, n=2"),
+    (bnd.hoeffding_bounded, (1.0, 2, 0.0), "b must be > 0, got 0.0"),
+    (bnd.hoeffding_bounded, (1.0, 2, 1e308),
+     "n*b must be a positive finite double, got n=2, b=1e+308"),
+    (bnd.hoeffding_bounded, (1.0, 0, 1.0), "n*b must be a positive finite double, got n=0, b=1.0"),
+    (bnd.fuk_nagaev, (1.0, 0.0, 1.0, 2, 0.0), "y must be > 0, got 0.0"),
+    (bnd.courbot, (-1.0, 1.0, 1.0, 0.0, 0.0), "need x >= 0, y > 0, v > 0, got x=-1.0"),
+    (bnd.haeusler, (0.0, 1.0, 1.0), "need x, y, v > 0, got x=0.0"),
+    (bnd.bennett_classic, (-1.0, 1.0, 1), "need t >= 0, sigma2 > 0, n >= 1, got t=-1.0"),
+    (bnd.hoeffding_independent, (0.5, 0.0, 1), "need sigma2 > 0 and n >= 1, got sigma2=0.0"),
+    (bnd.bennett_inverse, (0.0, 1.0), "need level > 0 and v > 0, got level=0.0"),
+])
+def test_invalid_arguments_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)

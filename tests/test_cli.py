@@ -230,7 +230,7 @@ class TestSimulateCommand:
         def sample(*args):
             raise AssertionError("paths drawn before the event was checked")
 
-        monkeypatch.setattr(cli.mc, "estimate_event", sample)
+        monkeypatch.setattr("smbounds.montecarlo.estimate_event", sample)
         code, out, err = run(["simulate", "--law", law, "--event", "truncated", "--y", y,
                               "--x", "3", "--v", "3", "--n", "8"], capsys)
         assert (code, out) == (2, "")
@@ -283,6 +283,9 @@ class TestSimulateCommand:
 @pytest.mark.parametrize("argv, refusal", [
     ("bounds --x 1 --v 1 --n 2 --b 1e200", None),
     ("simulate --law extremal:1e300 --x 1 --v 1 --n 3 --trials 10", None),
+    ("bounds --x 1e-300 --v 1 --n 5 --y 1e-100", None),
+    ("bounds --x 1 --v 1 --n 2 --b 1e308",
+     "n*b must be a positive finite double, got n=2, b=1e+308"),
     ("bounds --x 1 --v 1e-170 --n 5", "v squared must be a positive finite double, got v=1e-170"),
     ("bounds --x 1 --v 1e170 --n 5", "v squared must be a positive finite double, got v=1e+170"),
     ("simulate --law extremal:1 --x 1 --v 1e-200 --n 3 --trials 10",
@@ -291,11 +294,13 @@ class TestSimulateCommand:
      "v/y squared must be a positive finite double, got v/y=1e-300"),
 ])
 def test_extreme_inputs_are_answered_or_refused(argv, refusal, capsys):
-    # a huge b takes the variance branch of the refined Azuma bound; a v
-    # (or v/y) whose square leaves the doubles is refused by name
+    # a huge b takes the variance branch of the refined Azuma bound, and an
+    # x*y that underflows still gives Haeusler's bound; a v (or v/y) whose
+    # square leaves the doubles, or an n*b that overflows, is refused by name
     code, out, err = run(argv.split(), capsys)
     if refusal is None:
-        assert (code, err) == (0, "") and "azuma_refined" in out
+        assert (code, err) == (0, "")
+        assert ("haeusler" if "--y" in argv else "azuma_refined") in out
     else:
         assert (code, out) == (2, "")
         assert err == f"smbounds {argv.split()[0]}: {refusal}\n"
@@ -425,6 +430,13 @@ class TestConfigReplay:
         code, _, err = run(["compare", "--config", str(cfg)], capsys)
         assert code == 2 and "another command" in err
 
+    def test_config_line_without_equals(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("x = 1\nv 1\n")
+        code, out, err = run(["bounds", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"smbounds bounds: {cfg}:2: expected 'key = value', got 'v 1\\n'\n"
+
     def test_comments_and_unknown_keys(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# a comment\nx = 1\nv = 1\nn = 2\nbogus = 3\n")
@@ -449,13 +461,30 @@ def test_pure_math_commands_do_not_import_scipy(tmp_path):
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
-def test_import_loads_no_pool_module():
-    # of the thread and process pool modules, importing the package may load
-    # only the `threading` that numpy loads itself (Monte Carlo starts its
-    # threads from it); any other would add to the start-up of every process
+def test_pure_math_commands_do_not_import_numpy(tmp_path):
+    # bounds and compare are closed forms over `math`; only simulate and
+    # verify import the numpy stack
     code = (
         "import sys\n"
-        "import smbounds\n"
+        "from smbounds import cli\n"
+        "assert cli.main(['bounds', '--x', '1', '--v', '1', '--n', '2']) == 0\n"
+        f"assert cli.main(['compare', '--out', {str(tmp_path / 'cmp.csv')!r}]) == 0\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_import_loads_no_pool_module():
+    # of the thread and process pool modules, importing the modules that run
+    # Monte Carlo may load only the `threading` that numpy loads itself
+    # (Monte Carlo starts its threads from it); any other would add to the
+    # start-up of every process
+    code = (
+        "import sys\n"
+        "import smbounds.montecarlo, smbounds.suites\n"
         "pools = ('_thread', 'threading', 'queue', '_queue', 'concurrent',\n"
         "         'multiprocessing', '_multiprocessing')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in pools))\n"

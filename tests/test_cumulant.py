@@ -1,6 +1,7 @@
 """Cumulant machinery: frozen values, stability, tilts, and the minimizer."""
 
 import math
+import re
 
 import pytest
 
@@ -76,6 +77,11 @@ class TestCumulantBounds:
         assert cml.cgf_quadratic_bound(1.0, 1.0) == 0.5
         assert cml.cgf_quadratic_bound(2.0, 0.5) == pytest.approx(1.125)
 
+    def test_quadratic_bound_at_huge_b(self):
+        # (1 + b)^2 overflows: the bound is +inf, not an OverflowError
+        assert cml.cgf_quadratic_bound(1.0, 1e200) == math.inf
+        assert cml.cgf_quadratic_bound(0.0, 1e200) == 0.0
+
 
 class TestMinimizeTilt:
     def test_min_at_zero_when_x_zero(self):
@@ -97,6 +103,12 @@ class TestMinimizeTilt:
     def test_runaway_objective_reported(self):
         with pytest.raises(RuntimeError, match="bracket"):
             cml.minimize_tilt(lambda l: -l, 1.0)
+
+    def test_two_dip_objective_reported(self):
+        # dips at 0 and 0.6 inside the first bracket [0, 1]: the search
+        # settles in the higher one, above the value at lam = 0
+        with pytest.raises(RuntimeError, match="objective is not unimodal"):
+            cml.minimize_tilt(lambda l: min(100.0 * l * l, (l - 0.6) ** 2 + 0.1), 1.0)
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -148,3 +160,16 @@ class TestTiltedSecondMomentCondition:
     def test_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             cml.check_tilted_second_moment(TwoPointExtremal(1.0), ())
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (cml.cumulant_bound_linear, (-1.0, 1.0), "lam must be >= 0, got -1.0"),
+    (cml.cumulant_bound_linear, (1.0, -1.0), "qc must be >= 0, got -1.0"),
+    (cml.cgf_quadratic_bound, (-1.0, 1.0), "lam must be >= 0, got -1.0"),
+    (cml.cgf_quadratic_bound, (1.0, 0.0), "b must be > 0, got 0.0"),
+    (cml.check_tilted_second_moment, (TwoPointExtremal(1.0), (0.5, -1.0)),
+     "lam must be finite and >= 0, got -1.0"),
+])
+def test_invalid_arguments_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)

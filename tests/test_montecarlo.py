@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 import threading
 import time
@@ -604,3 +605,14 @@ class TestBudgetRule:
         hits = sum(exact_hit(row, law.truncated_second_moment(spec.y), spec) for row in inc)
         assert hits == sum(row.max() == 1.0 for row in inc)
         assert mc.estimate_event(law, spec, n, m, seed).hits == hits
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (mc.estimate_event, (RADEMACHER, prc.EventSpec(1.0, 3.0, STOPPED), 0, 10, 1),
+     "n must be >= 1, got 0"),
+    (mc.estimate_event, (RADEMACHER, prc.EventSpec(1.0, 3.0, STOPPED), 4, 0, 1),
+     "trials must be >= 1, got 0"),
+])
+def test_invalid_arguments_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -692,3 +693,11 @@ class TestExactVsBound:
             suites.exact_vs_bound(prc.TwoPoint(2.0, -2.0, 0.5, 0.5, "t"), 2, 1.0, 1.0)
         with pytest.raises(ValueError, match="no bound applies"):  # mean 0.85
             suites.exact_vs_bound(prc.TwoPoint(1.0, -0.5, 0.9, 0.1, "t"), 2, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (orc.first_passage_dp, (RADEMACHER, 0, 1.0), "n must be >= 1, got 0"),
+])
+def test_invalid_arguments_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)

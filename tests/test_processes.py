@@ -1,6 +1,7 @@
 """Increment-law zoo: moments, truncation, sampling, and event logic."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -364,3 +365,19 @@ class TestGeneratorKeying:
         a = prc.make_generator(seed, stream).random(4)
         b = prc.make_generator(seed, stream).random(4)
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("call, args, message", [
+    (prc.TwoPointExtremal(1.0).truncated_second_moment, (0.0,),
+     "truncation level y must be > 0, got 0.0"),
+    (prc.TwoPointExtremal(1.0).exceed_prob, (0.0,), "truncation level y must be > 0, got 0.0"),
+    (prc.CenteredExponential().truncated_second_moment, (0.0,),
+     "truncation level y must be > 0, got 0.0"),
+    (prc.CenteredExponential().exceed_prob, (0.0,), "truncation level y must be > 0, got 0.0"),
+    (prc.exact_mgf, (prc.TwoPointExtremal(1.0), -1.0), "lam must be >= 0, got -1.0"),
+    (prc.EventSpec, (math.inf, 1.0, prc.EventVariant.STOPPED_ANY_K), "x must be finite, got inf"),
+    (prc.exceedance_tail, (prc.CenteredExponential(), 1.0, 0), "n must be >= 1, got 0"),
+])
+def test_invalid_arguments_are_refused(call, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(*args)

@@ -4,6 +4,18 @@ Every function here evaluates a named bound on deviation probabilities of the
 form P(X_k >= x with a variance budget <= v^2).  Results are carried in log
 space (`LogProb`) and clamped so the linear value never exceeds 1; several of
 the raw formulas (Haeusler's in particular) exceed 1 in easy regimes.
+
+The Bennett family is built from one rate, w h(x/w) with Bennett's
+h(u) = (1+u) log1p(u) - u (`_rate`):
+
+    log F(x, v)    = -v^2 h(x/v^2)                                (Freedman)
+    log H(x, v, n) = -n/(n+v^2) [v^2 h(x/v^2) + n h(-x/n)]        (Hoeffding-type)
+    Bennett's independent-case bound    = -n sigma^2 h(t/sigma^2)
+    Hoeffding's independent-case bound  = -n [sigma^2 h(t/sigma^2) + h(-t)] / (1+sigma^2)
+
+One cutoff, `_SERIES_CUTOFF` on |x/w|, picks the power series of h or its
+closed form, so each rate handles its own cancellation; the two nonnegative
+rates of H are then added.
 """
 
 from __future__ import annotations
@@ -127,21 +139,32 @@ def _log_add(log_a: float, *linear_terms: float) -> float:
 
 
 #: Below this |u|, h(u) = (1+u) log1p(u) - u is summed from its power series:
-#: the closed forms of F and H lose about eps/|u| of relative accuracy to
-#: cancellation there (at u = 1e-2 the loss is about 1e-14).
+#: the closed form loses about eps/|u| of relative accuracy to cancellation
+#: there (at u = 1e-2 the loss is about 1e-14).
 _SERIES_CUTOFF = 1e-2
 
-#: Coefficients (-1)^k / ((k+1)(k+2)) of h(u) / u^2; at |u| < _SERIES_CUTOFF
-#: the first omitted term is below 3e-18 relative.
-_H_COEFFS = tuple((-1) ** k / ((k + 1) * (k + 2)) for k in range(8))
 
+def _rate(x: float, w: float) -> float:
+    """w h(x/w) >= 0 for x >= -w and w > 0, with Bennett's rate
+    h(u) = (1+u) log1p(u) - u; it is +0.0 at x = 0.
 
-def _h_series(u: float) -> float:
-    """h(u) / u^2 for |u| < _SERIES_CUTOFF, where h(u) = (1+u) log1p(u) - u."""
-    s = 0.0
-    for c in reversed(_H_COEFFS):
-        s = s * u + c
-    return s
+    The kernels below negate it as 0.0 - rate, not -rate, so their value at
+    x = 0 is +0.0, which the CLI prints as 0 (-rate would print -0).
+    """
+    u = x / w
+    if abs(u) < _SERIES_CUTOFF:
+        # w u^2 h(u)/u^2 with w u = x, and h(u)/u^2 = sum (-u)^k / ((k+1)(k+2))
+        # by Horner; the first omitted term is below 3e-18 relative
+        return x * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (
+            1 / 30 - u * (1 / 42 - u * (1 / 56 - u * (1 / 72))))))))
+    if u > -1.0:
+        return (x + w) * math.log1p(u) - x
+    if x == -w:
+        return w  # h(-1) = 1; the closed form would produce 0*inf
+    # x > -w but x/w rounded to -1, which needs w > 2^53; then x is a whole
+    # number and w + x is taken in exact integers (in floats it is 0)
+    d = w + int(x)
+    return d * math.log(d / w) - x
 
 
 # Raw-log kernels of the core family on plain floats.  They assume validated
@@ -153,35 +176,11 @@ def _hoeffding_log(x: float, v: float, n: int) -> float:
     if x > n:
         return -math.inf
     v2 = v * v
-    if x == n:
-        # Distinct branch, not a limit: the general formula would produce 0*inf.
-        u = n / v2
-        if u < _SERIES_CUTOFF:
-            return -n * math.log1p(u)
-        return n * math.log(v2 / (n + v2))
-    u = x / v2
-    r = x / n
-    if x > 0.0 and u < _SERIES_CUTOFF and r < _SERIES_CUTOFF:
-        # log H = -n/(n+v^2) (v^2 h(u) + n h(-r)), with v^2 u = n r = x
-        return -n / (n + v2) * (x * (u * _h_series(u) + r * _h_series(-r)))
-    term1 = -(x + v2) * math.log1p(u)
-    if r < 1.0:
-        term2 = -(n - x) * math.log1p(-r)
-    else:
-        # x < n but x/n rounded up to 1, which needs n > 2^53; then x is a
-        # whole number and n - x is taken in exact integers (in floats it is 0)
-        d = n - int(x)
-        term2 = -d * math.log(d / n)
-    return n / (n + v2) * (term1 + term2)
+    return n / (n + v2) * (0.0 - (_rate(x, v2) + _rate(-x, n)))
 
 
 def _freedman_log(x: float, v: float) -> float:
-    v2 = v * v
-    u = x / v2
-    if x > 0.0 and u < _SERIES_CUTOFF:
-        # log F = -v^2 h(u), with v^2 u = x
-        return -(x * u) * _h_series(u)
-    return -(x + v2) * math.log1p(u) + x
+    return 0.0 - _rate(x, v * v)
 
 
 def _bennett_log(x: float, v: float) -> float:
@@ -373,11 +372,7 @@ def bennett_classic(t: float, sigma2: float, n: int) -> LogProb:
     _require_finite(t=t, sigma2=sigma2)
     if t < 0 or sigma2 <= 0 or n < 1:
         raise ValueError(f"need t >= 0, sigma2 > 0, n >= 1, got t={t}, sigma2={sigma2}, n={n}")
-    u = t / sigma2
-    if t > 0.0 and u < _SERIES_CUTOFF:
-        # per step -sigma^2 h(u), with sigma^2 u = t
-        return LogProb.from_log(-n * t * u * _h_series(u))
-    return LogProb.from_log(n * (-(t + sigma2) * math.log1p(u) + t))
+    return LogProb.from_log(0.0 - n * _rate(t, sigma2))
 
 
 def hoeffding_independent(t: float, sigma2: float, n: int) -> LogProb:
@@ -389,13 +384,7 @@ def hoeffding_independent(t: float, sigma2: float, n: int) -> LogProb:
         raise ValueError(f"t must be in [0, 1), got {t}")
     if sigma2 <= 0 or n < 1:
         raise ValueError(f"need sigma2 > 0 and n >= 1, got sigma2={sigma2}, n={n}")
-    scale = 1.0 + sigma2
-    u = t / sigma2
-    if t > 0.0 and u < _SERIES_CUTOFF and t < _SERIES_CUTOFF:
-        # per step -(sigma^2 h(u) + h(-t)) / (1 + sigma^2), with sigma^2 u = t
-        return LogProb.from_log(-n * t * (u * _h_series(u) + t * _h_series(-t)) / scale)
-    log_per_step = -(t + sigma2) / scale * math.log1p(u) - (1.0 - t) / scale * math.log1p(-t)
-    return LogProb.from_log(n * log_per_step)
+    return LogProb.from_log(0.0 - n * (_rate(t, sigma2) + _rate(-t, 1.0)) / (1.0 + sigma2))
 
 
 def bennett_inverse(level: float, v: float) -> tuple[float, LogProb]:

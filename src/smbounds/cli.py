@@ -6,7 +6,8 @@ Every run can serialize its resolved parameters to a flat `key = value`
 config file (`--save-config`) and be replayed byte-identically from it
 (`--config`); explicit flags override config values.
 
-Exit codes: 0 success, 1 invariant/verification failure, 2 usage error.
+Exit codes: 0 success, 1 invariant/verification failure, 2 usage error
+(including a file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -311,10 +312,12 @@ def cmd_simulate(p: dict[str, Any]) -> int:
         names = sorted(v.value for v in EventVariant)
         raise ValueError(f"unknown event {p['event']!r}; choose from {names}") from None
     spec = EventSpec(p["x"], p["v"], variant, y=p["y"])
+    # the bounds refuse their arguments before any path is drawn
+    bounds = suites.applicable_checks(law, spec, p["n"])
     est = mc.estimate_event(law, spec, p["n"], p["trials"], p["seed"], p["gamma"])
     checks = []
     flagged = False
-    for name, bound in suites.applicable_checks(law, spec, p["n"]):
+    for name, bound in bounds:
         verdict = mc.verify_bound(est, bound).verdict
         flagged = flagged or verdict == "FLAG"
         checks.append({"bound_name": name, "log_value": bound.log_value,
@@ -419,7 +422,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.save_config:
             save_config(args.save_config, args.command, merged)
         return COMMANDS[args.command](merged)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"smbounds {args.command}: {exc}\n")
         return EXIT_USAGE
 

@@ -217,6 +217,8 @@ def parse_law(text: str) -> IncrementLaw:
             b, d = params.split(",")
             return DriftedTwoPoint(float(b), float(d))
         if kind == "cexp":
+            if params:
+                raise ValueError(f"cexp takes no parameters, got {params!r}")
             return CenteredExponential()
     except ValueError as exc:
         raise ValueError(f"bad law parameters in {text!r}: {exc}") from exc

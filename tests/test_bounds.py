@@ -280,6 +280,10 @@ class TestCancellationRegime:
 
     REL = 1e-12
     EXPONENTS = range(-16, 2)
+    #: ratios on both sides of the series cutoff, and next to u = -1 for x/n
+    AT_CUTOFF = (bnd._SERIES_CUTOFF * (1 - 2.0**-52), bnd._SERIES_CUTOFF,
+                 bnd._SERIES_CUTOFF * (1 + 2.0**-52))
+    NEAR_ONE = (0.9, 0.999, 1 - 2.0**-40)
 
     @staticmethod
     def _refs(mpmath):
@@ -300,13 +304,13 @@ class TestCancellationRegime:
         mpmath = pytest.importorskip("mpmath")
         log_f, _ = self._refs(mpmath)
         with mpmath.workdps(50):
-            for e in self.EXPONENTS:
-                for m in (1.0, 3.7):
-                    for v in (0.05, 1.0, 30.0, 3e4):
-                        x = m * 10.0**e * v * v
-                        want = float(log_f(x, v))
-                        assert bnd.freedman(x, v).log_value == pytest.approx(
-                            want, rel=self.REL, abs=0), (x, v)
+            ratios = [m * 10.0**e for e in self.EXPONENTS for m in (1.0, 3.7)]
+            for u in ratios + list(self.AT_CUTOFF):
+                for v in (0.05, 1.0, 30.0, 3e4):
+                    x = u * v * v
+                    want = float(log_f(x, v))
+                    assert bnd.freedman(x, v).log_value == pytest.approx(
+                        want, rel=self.REL, abs=0), (x, v)
 
     def test_freedman_at_the_known_cell(self):
         # the closed form returned 0.0 here; the reference is -9.34e-29
@@ -317,14 +321,13 @@ class TestCancellationRegime:
         mpmath = pytest.importorskip("mpmath")
         _, log_h = self._refs(mpmath)
         with mpmath.workdps(50):
+            rs = [0.93 * 10.0**er for er in self.EXPONENTS if 0.93 * 10.0**er < 1.0]
+            us = [1.7 * 10.0**eu for eu in self.EXPONENTS]
             for n in (1, 7, 1000, 10**6):
-                for er in self.EXPONENTS:
-                    r = 0.93 * 10.0**er
-                    if r >= 1.0:
-                        continue
+                for r in rs + list(self.AT_CUTOFF + self.NEAR_ONE):
                     x = r * n
-                    for eu in self.EXPONENTS:
-                        v = math.sqrt(x / (1.7 * 10.0**eu))
+                    for u in us + list(self.AT_CUTOFF):
+                        v = math.sqrt(x / u)
                         want = float(log_h(x, v, n))
                         got = bnd.hoeffding(bnd.TailQuery(x, v, n)).log_value
                         assert got == pytest.approx(want, rel=self.REL, abs=0), (x, v, n)
@@ -361,26 +364,25 @@ class TestCancellationRegime:
             want, rel=self.REL, abs=0)
 
     def test_independent_case_forms(self):
-        # Bennett's and Hoeffding's per-step forms at t from 1e-15 to 0.5;
-        # the closed forms lost 1.5e-7 and 5.8e-8 relative at t = 1e-9
+        # Bennett's and Hoeffding's per-step forms at t from 1e-15 to 0.5, at
+        # the series cutoff and next to t = 1; the closed forms lost 1.5e-7
+        # and 5.8e-8 relative at t = 1e-9
         mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(50):
-            for e in range(-15, 0):
-                for m in (1.0, 2.3, 5.0):
-                    t = m * 10.0**e
-                    if t > 0.5:
-                        continue
-                    for s2 in (0.05, 1.0, 4.0):
-                        for n in (1, 10):
-                            mt, ms2 = mpmath.mpf(t), mpmath.mpf(s2)
-                            log1p_u = mpmath.log1p(mt / ms2)
-                            want_b = n * (-(mt + ms2) * log1p_u + mt)
-                            want_h = n * (-(mt + ms2) * log1p_u
-                                          - (1 - mt) * mpmath.log1p(-mt)) / (1 + ms2)
-                            assert bnd.bennett_classic(t, s2, n).log_value == pytest.approx(
-                                float(want_b), rel=self.REL, abs=0), (t, s2, n)
-                            assert bnd.hoeffding_independent(t, s2, n).log_value == pytest.approx(
-                                float(want_h), rel=self.REL, abs=0), (t, s2, n)
+            ts = [m * 10.0**e for e in range(-15, 0) for m in (1.0, 2.3, 5.0)
+                  if m * 10.0**e <= 0.5]
+            for t in ts + list(self.AT_CUTOFF + self.NEAR_ONE):
+                for s2 in (0.05, 1.0, 4.0):
+                    for n in (1, 10):
+                        mt, ms2 = mpmath.mpf(t), mpmath.mpf(s2)
+                        log1p_u = mpmath.log1p(mt / ms2)
+                        want_b = n * (-(mt + ms2) * log1p_u + mt)
+                        want_h = n * (-(mt + ms2) * log1p_u
+                                      - (1 - mt) * mpmath.log1p(-mt)) / (1 + ms2)
+                        assert bnd.bennett_classic(t, s2, n).log_value == pytest.approx(
+                            float(want_b), rel=self.REL, abs=0), (t, s2, n)
+                        assert bnd.hoeffding_independent(t, s2, n).log_value == pytest.approx(
+                            float(want_h), rel=self.REL, abs=0), (t, s2, n)
 
 
 class TestRegistry:

@@ -237,6 +237,18 @@ class TestSimulateCommand:
         assert err == ("smbounds simulate: truncated events need a finite truncation "
                        f"level y > 0, got y={y}\n")
 
+    @pytest.mark.parametrize("v", ["1e200", "1e-170"])
+    def test_bounds_refuse_before_sampling(self, v, monkeypatch, capsys):
+        def sample(*args):
+            raise AssertionError("paths drawn before the bounds were checked")
+
+        monkeypatch.setattr("smbounds.montecarlo.estimate_event", sample)
+        code, out, err = run(["simulate", "--law", "extremal:1", "--x", "1", "--v", v,
+                              "--n", "5", "--trials", "10"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("smbounds simulate: v squared must be a positive finite double, "
+                       f"got v={float(v)!r}\n")
+
     def test_y_on_untruncated_event_is_usage_error(self, capsys):
         code, out, err = run(["simulate", "--law", "extremal:1", "--event", "stopped",
                               "--x", "3", "--v", "3", "--n", "8", "--y", "2",
@@ -304,6 +316,21 @@ def test_extreme_inputs_are_answered_or_refused(argv, refusal, capsys):
     else:
         assert (code, out) == (2, "")
         assert err == f"smbounds {argv.split()[0]}: {refusal}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    "bounds --config {missing}/run.cfg",
+    "compare --grid {missing}/grid.cfg",
+    "bounds --x 1 --v 1 --n 2 --out {missing}/f.txt",
+    "bounds --x 1 --v 1 --n 2 --save-config {missing}/c.cfg",
+])
+def test_unreadable_or_unwritable_file_is_usage_error(argv, tmp_path, capsys):
+    # exit 1 is kept for a failed invariant or verification
+    missing = tmp_path / "missing"
+    code, out, err = run(argv.format(missing=missing).split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"smbounds {argv.split()[0]}: [Errno 2] No such file or directory: ")
+    assert str(missing) in err
 
 
 @pytest.mark.parametrize("argv", [

@@ -377,6 +377,7 @@ class TestGeneratorKeying:
     (prc.exact_mgf, (prc.TwoPointExtremal(1.0), -1.0), "lam must be >= 0, got -1.0"),
     (prc.EventSpec, (math.inf, 1.0, prc.EventVariant.STOPPED_ANY_K), "x must be finite, got inf"),
     (prc.exceedance_tail, (prc.CenteredExponential(), 1.0, 0), "n must be >= 1, got 0"),
+    (prc.parse_law, ("cexp:5",), "bad law parameters in 'cexp:5': cexp takes no parameters, got '5'"),
 ])
 def test_invalid_arguments_are_refused(call, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -7,19 +7,21 @@ config file (`--save-config`) and be replayed byte-identically from it
 (`--config`); explicit flags override config values.
 
 Exit codes: 0 success, 1 invariant/verification failure, 2 usage error
-(including a file that cannot be read or written).
+(including a file that cannot be read or written).  The `--out` file is
+opened, and truncated, before the command does any work.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, TextIO
 
 from . import bounds as bnd
 
@@ -166,14 +168,6 @@ def resolve_params(command: str, args: argparse.Namespace) -> dict[str, Any]:
     return merged
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _csv_text(rows: list[dict[str, Any]]) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for row in rows:
@@ -220,16 +214,16 @@ def _bound_rows(p: dict[str, Any]) -> list[dict[str, Any]]:
     return rows
 
 
-def cmd_bounds(p: dict[str, Any]) -> int:
+def cmd_bounds(p: dict[str, Any], out: TextIO) -> int:
     rows = _bound_rows(p)
     if p["format"] == "csv":
-        _emit(_csv_text(rows), p["out"])
+        out.write(_csv_text(rows))
     elif p["format"] == "json":
         doc = {"command": "bounds",
                "query": {"x": p["x"], "v": p["v"], "n": p["n"], "b": p["b"], "y": p["y"]},
                "bounds": [{k: r.get(k) for k in ("bound_name", "log_value", "value", "branch")}
                           for r in rows]}
-        _emit(_json_text(doc), p["out"])
+        out.write(_json_text(doc))
     else:
         width = max(len(r["bound_name"]) for r in rows)
         lines = [f"query: x={fmt(p['x'])} v={fmt(p['v'])} n={p['n']}"]
@@ -237,7 +231,7 @@ def cmd_bounds(p: dict[str, Any]) -> int:
             branch = f"  [{r['branch']}]" if r.get("branch") else ""
             lines.append(f"  {r['bound_name']:<{width}}  log={fmt(r['log_value'])}  "
                          f"value={fmt(r['value'])}{branch}")
-        _emit("\n".join(lines) + "\n", p["out"])
+        out.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -271,7 +265,7 @@ def _compare_csv(points: list[tuple[bnd.TailQuery, tuple[float, ...], str]]) -> 
     return "\n".join(lines) + "\n"
 
 
-def cmd_compare(p: dict[str, Any]) -> int:
+def cmd_compare(p: dict[str, Any], out: TextIO) -> int:
     grid = _parse_grid_file(p["grid"]) if p["grid"] else bnd.default_grid()
     points = []
     failures = 0
@@ -287,9 +281,9 @@ def cmd_compare(p: dict[str, Any]) -> int:
                 for q, logs, verdict in points for name, lv in zip(bnd.CORE, logs)]
         doc = {"command": "compare", "points": len(grid), "ordering_failures": failures,
                "rows": rows}
-        _emit(_json_text(doc), p["out"])
+        out.write(_json_text(doc))
     else:
-        _emit(_compare_csv(points), p["out"])
+        out.write(_compare_csv(points))
     if failures:
         sys.stderr.write(f"compare: ordering failed at {failures} grid points\n")
         return EXIT_FAIL
@@ -301,7 +295,7 @@ def cmd_compare(p: dict[str, Any]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_simulate(p: dict[str, Any]) -> int:
+def cmd_simulate(p: dict[str, Any], out: TextIO) -> int:
     from . import montecarlo as mc, suites  # numpy, kept off the import path
     from .processes import EventSpec, EventVariant, parse_law
 
@@ -337,9 +331,9 @@ def cmd_simulate(p: dict[str, Any]) -> int:
     if p["format"] == "csv":
         base = dict(x=p["x"], v=p["v"], n=p["n"], y=spec.y, p_hat=est.p_hat,
                     ci_low=est.ci_low, ci_high=est.ci_high, seed=p["seed"])
-        _emit(_csv_text([dict(base, **c) for c in checks] or [base]), p["out"])
+        out.write(_csv_text([dict(base, **c) for c in checks] or [base]))
     else:
-        _emit(_json_text(doc), p["out"])
+        out.write(_json_text(doc))
     return EXIT_FAIL if flagged else EXIT_OK
 
 
@@ -352,7 +346,7 @@ def _use_color() -> bool:
     return sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
 
-def cmd_verify(p: dict[str, Any]) -> int:
+def cmd_verify(p: dict[str, Any], out: TextIO) -> int:
     from . import suites  # numpy, kept off the import path
 
     names = list(suites.SUITES) if p["suite"] == "all" else [p["suite"]]
@@ -370,8 +364,8 @@ def cmd_verify(p: dict[str, Any]) -> int:
                      f"{sum(c.passed for c in rep.checks)}/{len(rep.checks)} checks")
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-    if p["out"]:
-        _emit(text, p["out"])
+    if out is not sys.stdout:
+        out.write(text)
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
@@ -419,9 +413,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         merged = resolve_params(args.command, args)
-        if args.save_config:
-            save_config(args.save_config, args.command, merged)
-        return COMMANDS[args.command](merged)
+        # like a shell redirect, the output file is opened before any work, so
+        # a path that cannot be written is refused before a path is drawn or a
+        # config is saved
+        with (open(merged["out"], "w", encoding="utf-8", newline="\n") if merged["out"]
+              else contextlib.nullcontext(sys.stdout)) as out:
+            if args.save_config:
+                save_config(args.save_config, args.command, merged)
+            return COMMANDS[args.command](merged, out)
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"smbounds {args.command}: {exc}\n")
         return EXIT_USAGE

@@ -1,6 +1,12 @@
 """Empirical event-probability estimation with exact binomial confidence
 intervals.
 
+The interval is Clopper-Pearson's, solved in the package with `math` and
+numpy: each end is the root of one binomial tail, Loader's log pmf times a
+ratio series over O(sqrt(trials)) terms, found by Newton's method in the
+log-odds (`binomial.upper_tail_log_odds`), and moved outward by the bound on
+its error, so the interval holds the exact one.  Nothing imports scipy.
+
 Trials are partitioned into fixed 2^16-path chunks; chunk j draws from a
 counter-based substream keyed by (seed, j), so hit counts are bit-identical
 no matter how the chunks are scheduled, and path i is the same path in every
@@ -54,6 +60,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import binomial
 from .bounds import LogProb
 from .processes import (
     EventSpec,
@@ -98,17 +105,40 @@ def clopper_pearson(hits: int, trials: int, gamma: float) -> tuple[float, float]
     """Exact (conservative) two-sided binomial interval at confidence gamma.
 
     Valid at any sample size and arbitrarily deep in the tail, unlike the
-    normal approximation.
+    normal approximation.  With a = (1 - gamma)/2, the low end solves
+    P(X >= hits) = a and the high end P(X <= hits) = a for X ~ Binomial(trials, p),
+    each in its own log-odds (`binomial.upper_tail_log_odds`; the high end as
+    the low end of the misses), and the ends at hits = 0 and hits = trials
+    are the closed forms 1 - a^(1/trials) and a^(1/trials).  Each end is moved
+    outward by the bound on its error, so the interval holds the exact one.
     """
     if not 0 <= hits <= trials or trials < 1:
         raise ValueError(f"need 0 <= hits <= trials, got hits={hits}, trials={trials}")
     _check_gamma(gamma)
-    from scipy.special import betaincinv  # the beta quantile, kept off the import path
-
-    alpha = 1.0 - gamma
-    lo = 0.0 if hits == 0 else float(betaincinv(hits, trials - hits + 1, alpha / 2.0))
-    hi = 1.0 if hits == trials else float(betaincinv(hits + 1, trials - hits, 1.0 - alpha / 2.0))
+    log_level = math.log((1.0 - gamma) / 2.0)
+    if hits == 0:
+        lo = 0.0
+    elif hits == trials:
+        lo = _outward(math.exp(log_level / trials), log_level / trials, -1.0)
+    else:
+        theta, radius = binomial.upper_tail_log_odds(hits, trials, log_level)
+        lo = _outward(1.0 / (1.0 + math.exp(radius - theta)), theta - radius, -1.0)
+    if hits == trials:
+        hi = 1.0
+    elif hits == 0:
+        hi = _outward(-math.expm1(log_level / trials), 0.0, 1.0)
+    else:  # P(X <= hits) = P(trials - X >= trials - hits), at log-odds -theta
+        theta, radius = binomial.upper_tail_log_odds(trials - hits, trials, log_level)
+        hi = _outward(1.0 / (1.0 + math.exp(theta - radius)), theta - radius, 1.0)
     return lo, hi
+
+
+def _outward(p: float, arg: float, sign: float) -> float:
+    """p moved by its rounding-error bound, (8 + 2|arg|) units relative, in
+    the direction of sign: p is exp(arg) or 1/(1 + exp(-arg)), whose rounding
+    and the rounding of arg err by at most (5 + |arg|) units, or 1 - exp(arg),
+    whose relative error is at most 5 units."""
+    return min(1.0, p * (1.0 + sign * binomial.EPS * (8.0 + 2.0 * abs(arg))))
 
 
 @dataclass(frozen=True)

@@ -334,6 +334,26 @@ def test_unreadable_or_unwritable_file_is_usage_error(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    "verify --suite chain --out {missing}/r.txt",
+    "simulate --law extremal:1 --x 1 --v 2 --n 4 --trials 10 --out {missing}/s.json",
+    "bounds --x 1 --v 1 --n 2 --save-config {cfg} --out {missing}/f.txt",
+])
+def test_unwritable_output_is_refused_before_any_work(argv, tmp_path, monkeypatch, capsys):
+    # no report is printed, no path drawn and no config saved before the
+    # output file is known to open
+    def work(*args, **kwargs):
+        raise AssertionError("work done before the output was opened")
+
+    monkeypatch.setattr("smbounds.montecarlo.estimate_event", work)
+    monkeypatch.setattr("smbounds.suites.run_suites", work)
+    missing, cfg = tmp_path / "missing", tmp_path / "c.cfg"
+    code, out, err = run(argv.format(missing=missing, cfg=cfg).split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"smbounds {argv.split()[0]}: [Errno 2] No such file or directory: ")
+    assert not cfg.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["compare"],
     ["simulate", "--law", "extremal:1", "--x", "1", "--v", "2", "--n", "4", "--trials", "10"],
 ])
@@ -471,15 +491,18 @@ class TestConfigReplay:
         assert code == 2 and "bogus" in err
 
 
-def test_pure_math_commands_do_not_import_scipy(tmp_path):
-    # scipy is imported only by the Monte Carlo interval; a fresh interpreter
-    # running bounds, compare and the exact oracle suite must never load it
+def test_no_command_imports_scipy(tmp_path):
+    # the package needs numpy only; a fresh interpreter running every command,
+    # the Monte Carlo interval included, must never load scipy
     code = (
         "import sys\n"
         "from smbounds import cli\n"
         "assert cli.main(['bounds', '--x', '1', '--v', '1', '--n', '2']) == 0\n"
         f"assert cli.main(['compare', '--out', {str(tmp_path / 'cmp.csv')!r}]) == 0\n"
         "assert cli.main(['verify', '--suite', 'oracle']) == 0\n"
+        "assert cli.main(['simulate', '--law', 'extremal:1', '--x', '3', '--v', '3',\n"
+        "                 '--n', '8', '--trials', '20000']) == 0\n"
+        "assert cli.main(['verify', '--suite', 'mc', '--trials', '20000']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")

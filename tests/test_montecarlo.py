@@ -12,6 +12,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import exact_hit
 from smbounds import montecarlo as mc
@@ -61,6 +63,28 @@ class TestClopperPearson:
         lo95, hi95 = mc.clopper_pearson(50, 1000, 0.95)
         lo999, hi999 = mc.clopper_pearson(50, 1000, 0.999)
         assert lo999 <= lo95 and hi95 <= hi999
+
+    @settings(max_examples=300, deadline=None)
+    @given(trials=st.integers(1, 10**7), data=st.data(),
+           gammas=st.lists(st.floats(0.01, 1 - 1e-9), min_size=2, max_size=2, unique=True))
+    def test_interval_properties(self, trials, data, gammas):
+        # the ends bracket hits/trials, rise with hits, widen with gamma, and
+        # are the closed forms (moved outward by a few units) at 0 and trials
+        hits = data.draw(st.one_of(st.just(0), st.just(trials), st.integers(0, trials)))
+        low_gamma, high_gamma = sorted(gammas)
+        lo, hi = mc.clopper_pearson(hits, trials, low_gamma)
+        lo_wide, hi_wide = mc.clopper_pearson(hits, trials, high_gamma)
+        assert 0.0 <= lo_wide <= lo <= hits / trials <= hi <= hi_wide <= 1.0
+        if hits < trials:
+            lo_next, hi_next = mc.clopper_pearson(hits + 1, trials, low_gamma)
+            assert lo < lo_next and hi < hi_next
+        log_level = math.log((1 - low_gamma) / 2)
+        if hits == 0:
+            closed = -math.expm1(log_level / trials)
+            assert lo == 0.0 and closed <= hi <= closed * (1 + 1e-14)
+        if hits == trials:
+            closed = math.exp(log_level / trials)
+            assert hi == 1.0 and closed * (1 - 1e-14) <= lo <= closed
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -208,7 +232,6 @@ class TestRowBlocks:
         # tracemalloc) to a few block sizes
         law = prc.TwoPointExtremal(1.0)
         n = 4000
-        mc.clopper_pearson(1, 2, 0.95)  # its lazy scipy import is not the loop's memory
         tracemalloc.start()
         try:
             nested = mc.nested_event_estimates(law, 200.0, math.sqrt(n * 1.0000001), n, 8192, 3)

@@ -154,26 +154,30 @@ def _reference_dp(law, n, x):
 
 
 def _float_count_dp(law, n, x, start=(1, (1.0,))):
-    """The count-state pass as a plain Python-float loop: new[j] = m[j]*pb +
+    """The count-state pass stepped one step at a time: new[j] = m[j]*pb +
     m[j-1]*pa, absorbing the counts j >= j*_k of `count_thresholds`.  It runs
     from step k0 on, given the masses over the counts after step k0 - 1 as
     start = (k0, masses); by default from step 1, with all mass at count 0."""
     (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
     thresholds = prc.count_thresholds(a, b, x, n).tolist()
     k0, m = start
-    m, absorbed, absorbed_cum = list(m), 0.0, [0.0] * k0
-    zero = [0.0]
+    m, absorbed, absorbed_cum = np.array(m, dtype=float), 0.0, [0.0] * k0
     for k in range(k0, n + 1):
-        # once no state is left, no step makes one
-        new = [u * pb + w * pa for u, w in zip(m + zero, zero + m)] if m else []
-        cut = min(thresholds[k], len(new))
-        # with b < 0 the thresholds never fall, so at most two states (both
-        # at step 1) are absorbed at once, whose sum any order rounds alike
-        assert len(new) - cut <= 2
-        absorbed += math.fsum(new[cut:])
-        m = new[:cut]
+        if len(m):  # once no state is left, no step makes one
+            # entry j is m[j]*pb + m[j-1]*pa, two rounded products and one
+            # rounded add, with none of the pass's correlations or transfers
+            new = np.empty(len(m) + 1)
+            np.multiply(m, pb, out=new[:-1])
+            new[-1] = 0.0
+            new[1:] += m * pa
+            cut = min(thresholds[k], len(new))
+            # with b < 0 the thresholds never fall, so at most two states (both
+            # at step 1) are absorbed at once, whose sum any order rounds alike
+            assert len(new) - cut <= 2
+            absorbed += math.fsum(new[cut:].tolist())
+            m = new[:cut]
         absorbed_cum.append(absorbed)
-    return absorbed_cum, m
+    return absorbed_cum, m.tolist()
 
 
 def _first_absorbing_step(law, n, x):

@@ -261,8 +261,14 @@ def core_logs(q: TailQuery) -> tuple[float, float, float, float, float]:
     module attributes at call time, so a replaced kernel is the one every
     caller evaluates.
     """
-    x, v = q.x, q.v
-    logs = (_hoeffding_log(x, v, q.n), _freedman_log(x, v), _bennett_log(x, v),
+    return _core_logs(q.x, q.v, q.n)
+
+
+def _core_logs(x: float, v: float, n: int) -> tuple[float, float, float, float, float]:
+    """`core_logs` on plain floats, for callers that have checked (x, v, n)
+    with `TailQuery` already, such as `compare`, which checks each value of
+    its grid's axes once."""
+    logs = (_hoeffding_log(x, v, n), _freedman_log(x, v), _bennett_log(x, v),
             _bernstein_log(x, v), _prohorov_log(x, v))
     if math.isnan(sum(logs)):
         raise ValueError("log probability is NaN")
@@ -403,13 +409,10 @@ GRID_V = (0.1, 0.5, 1.0, 2.0, 5.0)
 GRID_N = (1, 2, 5, 10, 100, 10**4, 10**6)
 
 
-def default_grid() -> list[TailQuery]:
-    """Default comparison grid over (x, v, n), including the x = 0.3n / 0.7n / n
-    points that exercise the horizon-dependent branches."""
-    queries = []
-    for n in GRID_N:
-        xs = sorted(set(GRID_X) | {0.3 * n, 0.7 * n, float(n)})
-        for v in GRID_V:
-            for x in xs:
-                queries.append(TailQuery(x, v, n))
-    return queries
+def default_grid() -> list[tuple[int, tuple[float, ...], list[float]]]:
+    """Default comparison grid over (x, v, n) as per-n blocks (n, vs, xs), whose
+    points are every (x, v, n) with v in vs and x in xs.  Each block's xs adds
+    the x = 0.3n / 0.7n / n points that exercise the horizon-dependent
+    branches.  The values are not checked here: `TailQuery` checks them."""
+    return [(n, GRID_V, sorted(set(GRID_X) | {0.3 * n, 0.7 * n, float(n)}))
+            for n in GRID_N]

@@ -265,7 +265,7 @@ class TestBennettInverse:
 
 
 def test_default_grid_covers_boundary_points():
-    grid = bnd.default_grid()
+    grid = [bnd.TailQuery(x, v, n) for n, vs, xs in bnd.default_grid() for v in vs for x in xs]
     # 10 x-values per (v, n) cell minus duplicates where 0.3n/0.7n/n land on
     # the fixed x list
     assert 300 <= len(grid) <= 350

@@ -98,7 +98,8 @@ class TestCompareCommand:
         assert code == 0
         lines = out_file.read_text().splitlines()
         assert lines[0].split(",") == cli.CSV_COLUMNS
-        assert len(lines) == 1 + len(bnd.default_grid()) * 5
+        points = sum(len(vs) * len(xs) for _, vs, xs in bnd.default_grid())
+        assert len(lines) == 1 + points * 5
         assert all(line.split(",")[12] == "PASS" for line in lines[1:])
 
     def test_single_point_grid_matches_bounds(self, tmp_path, capsys):
@@ -129,38 +130,46 @@ class TestCompareCommand:
         assert "[chain] FAIL ordering chain" in out
 
     def test_rows_match_the_dict_rows_of_core_bounds(self, tmp_path, capsys):
-        # compare writes its CSV from one formatted prefix per point; the bytes
-        # must equal _csv_text over dict rows built from core_bounds, at x = 0
-        # (the -0 bernstein and prohorov cells), x = n, x > n (-inf and 0),
-        # x/n rounding to 1 (n > 2^53) and tiny x/v^2
+        # compare writes a point's five CSV rows with one template, its x cells
+        # once per block and its v,n cells once per v; the bytes must equal
+        # _csv_text over dict rows built from core_bounds at queries made here
+        # in (n, v, x) order: at x = 0 (the -0 bernstein and prohorov cells),
+        # x = n, x > n (-inf and 0), x/n rounding to 1 (n > 2^53) and tiny
+        # x/v^2, with two n and three v so the shared cells are reused.  The
+        # default grid (no --grid) is held to the same reference.
         from smbounds import bounds as bnd
 
+        xs = [0.0, 1e-10, 0.5, 2.0, 9007199254740992.0]
+        vs = [0.5, 3.0, 30000.0]
+        ns = [2, 9007199254740993]
         grid = tmp_path / "grid.cfg"
-        grid.write_text("x = 0, 1e-10, 0.5, 2, 9007199254740992\n"
-                        "v = 0.5, 30000\n"
-                        "n = 2, 9007199254740993\n")
-        queries = cli._parse_grid_file(str(grid))
-        assert any(q.x < q.n and q.x / q.n == 1.0 for q in queries)
-        rows, failures = [], 0
-        for q in queries:
-            pairs = bnd.core_bounds(q)
-            ok = bnd.ordering_ok([b.log_value for _, b in pairs])
-            failures += not ok
-            rows += [dict(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=b.log_value,
-                          value=math.exp(b.log_value), verdict="PASS" if ok else "FAIL")
-                     for name, b in pairs]
-        cells = {(r["bound_name"], cli.fmt(r["log_value"])) for r in rows}
-        assert {("bernstein", "-0"), ("prohorov", "-0"), ("hoeffding", "-inf")} <= cells
+        grid.write_text("".join(f"{axis} = {', '.join(map(repr, values))}\n"
+                                for axis, values in (("x", xs), ("v", vs), ("n", ns))))
+        file_queries = [bnd.TailQuery(x, v, n) for n in ns for v in vs for x in xs]
+        assert any(q.x < q.n and q.x / q.n == 1.0 for q in file_queries)
+        default_queries = [bnd.TailQuery(x, v, n) for n, dvs, dxs in bnd.default_grid()
+                           for v in dvs for x in dxs]
 
-        out_csv, out_json = tmp_path / "c.csv", tmp_path / "c.json"
-        code, _, _ = run(["compare", "--grid", str(grid), "--out", str(out_csv)], capsys)
-        assert code == (1 if failures else 0)
-        assert out_csv.read_text() == cli._csv_text(rows)
-        run(["compare", "--grid", str(grid), "--format", "json", "--out", str(out_json)],
-            capsys)
-        doc = {"command": "compare", "points": len(queries), "ordering_failures": failures,
-               "rows": rows}
-        assert out_json.read_text() == cli._json_text(doc)
+        for grid_args, queries in (([f"--grid={grid}"], file_queries), ([], default_queries)):
+            rows, failures = [], 0
+            for q in queries:
+                pairs = bnd.core_bounds(q)
+                ok = bnd.ordering_ok([b.log_value for _, b in pairs])
+                failures += not ok
+                rows += [dict(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=b.log_value,
+                              value=math.exp(b.log_value), verdict="PASS" if ok else "FAIL")
+                         for name, b in pairs]
+            if grid_args:
+                cells = {(r["bound_name"], cli.fmt(r["log_value"])) for r in rows}
+                assert {("bernstein", "-0"), ("prohorov", "-0"), ("hoeffding", "-inf")} <= cells
+            doc = {"command": "compare", "points": len(queries), "ordering_failures": failures,
+                   "rows": rows}
+            for fmt, expected in (("csv", cli._csv_text(rows)), ("json", cli._json_text(doc))):
+                out_file = tmp_path / f"c.{fmt}"
+                code, _, _ = run(["compare", *grid_args, "--format", fmt,
+                                  "--out", str(out_file)], capsys)
+                assert code == (1 if failures else 0)
+                assert out_file.read_text() == expected
 
     def test_bad_grid_file(self, tmp_path, capsys):
         grid = tmp_path / "grid.cfg"
@@ -168,6 +177,73 @@ class TestCompareCommand:
         code, _, err = run(["compare", "--grid", str(grid)], capsys)
         assert code == 2
         assert "grid" in err
+
+
+# compare checks its grid one axis value at a time; these grids put each kind
+# of value TailQuery refuses at the first, a middle and the last place of its
+# axis, alone and with a second bad axis, so the first refusal must be the one
+# that building a query at every point in (n, v, x) order meets first
+_GRID_AXES = {"x": [0.0, 0.5, 2.0], "v": [0.5, 1.0, 3.0], "n": [1, 4, 10]}
+_BAD_VALUES = {"x": [math.nan, math.inf, -1.0],
+               "v": [math.inf, math.nan, 0.0, -2.0, 1e-200, 1e200],
+               "n": [0, -3]}
+# x = -1 is refused after a non-finite v at the same point, so a shared first
+# point also tests the order of TailQuery's own checks
+_BAD_IN_PAIRS = {"x": -1.0, "v": math.inf, "n": 0}
+
+
+def _bad_grids():
+    for axis, values in _BAD_VALUES.items():
+        for value in values:
+            for pos in range(3):
+                yield ((axis, pos, value),)
+    for a, b in (("x", "v"), ("v", "n"), ("x", "n")):
+        for pos_a in range(3):
+            for pos_b in range(3):
+                yield (a, pos_a, _BAD_IN_PAIRS[a]), (b, pos_b, _BAD_IN_PAIRS[b])
+
+
+@pytest.mark.parametrize("bad", list(_bad_grids()), ids=lambda bad: ",".join(
+    f"{axis}[{pos}]={value!r}" for axis, pos, value in bad))
+def test_compare_refuses_the_first_bad_point_of_the_product(bad, tmp_path, capsys):
+    from smbounds import bounds as bnd
+
+    axes = {axis: list(values) for axis, values in _GRID_AXES.items()}
+    for axis, pos, value in bad:
+        axes[axis][pos] = value
+    with pytest.raises(ValueError) as first:
+        for n in axes["n"]:
+            for v in axes["v"]:
+                for x in axes["x"]:
+                    bnd.TailQuery(x, v, n)
+    grid = tmp_path / "grid.cfg"
+    grid.write_text("".join(f"{axis} = {', '.join(map(repr, values))}\n"
+                            for axis, values in axes.items()))
+    for fmt in ("csv", "json"):
+        code, out, err = run(["compare", "--grid", str(grid), "--format", fmt], capsys)
+        assert (code, out, err) == (2, "", f"smbounds compare: {first.value}\n")
+
+
+@pytest.mark.parametrize("blocks", [
+    # per-n x lists, as the default grid has: a bad x only in a later block
+    [(1, [0.5, 1.0], [0.0, 0.5]), (2, [0.5, 1.0], [0.0, -1.0])],
+    # a later block's bad n, alone and with a bad first x of its own list
+    [(1, [0.5, 1.0], [0.0, 0.5]), (0, [0.5, 1.0], [0.0, 0.5])],
+    [(1, [0.5, 1.0], [0.0, 0.5]), (0, [0.5, 1.0], [math.nan, 0.5])],
+    # a later block's own v list
+    [(1, [0.5, 1.0], [0.0, 0.5]), (2, [0.5, 0.0], [0.0, 0.5])],
+])
+def test_grid_check_of_per_block_lists_keeps_product_order(blocks):
+    from smbounds import bounds as bnd
+
+    with pytest.raises(ValueError) as first:
+        for n, vs, xs in blocks:
+            for v in vs:
+                for x in xs:
+                    bnd.TailQuery(x, v, n)
+    with pytest.raises(ValueError) as checked:
+        cli._check_grid(blocks)
+    assert str(checked.value) == str(first.value)
 
 
 class TestSimulateCommand:

@@ -44,6 +44,7 @@ __all__ = [
     "bennett_classic",
     "hoeffding_independent",
     "bennett_inverse",
+    "GridBlock",
     "default_grid",
 ]
 
@@ -409,10 +410,14 @@ GRID_V = (0.1, 0.5, 1.0, 2.0, 5.0)
 GRID_N = (1, 2, 5, 10, 100, 10**4, 10**6)
 
 
-def default_grid() -> list[tuple[int, tuple[float, ...], list[float]]]:
-    """Default comparison grid over (x, v, n) as per-n blocks (n, vs, xs), whose
-    points are every (x, v, n) with v in vs and x in xs.  Each block's xs adds
-    the x = 0.3n / 0.7n / n points that exercise the horizon-dependent
-    branches.  The values are not checked here: `TailQuery` checks them."""
+#: A grid block (n, vs, xs): the points (x, v, n) for every v in vs and x in
+#: xs.  The values are not checked: `TailQuery` checks them.
+GridBlock = tuple[int, Sequence[float], Sequence[float]]
+
+
+def default_grid() -> list[GridBlock]:
+    """Default comparison grid over (x, v, n) as one `GridBlock` per n.  Each
+    block's xs adds the x = 0.3n / 0.7n / n points that exercise the
+    horizon-dependent branches."""
     return [(n, GRID_V, sorted(set(GRID_X) | {0.3 * n, 0.7 * n, float(n)}))
             for n in GRID_N]

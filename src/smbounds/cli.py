@@ -12,11 +12,10 @@ opened, and truncated, before the command does any work.
 
 `compare` checks its grid once per axis value with `bounds.TailQuery`, which
 refuses a bad grid with the same first message as one query per point in
-(n, v, x) order (`_check_grid`), then walks the points once.  Per point, on
-the sweep grids (best of 25 on a shared 2-vCPU VM), the five kernels take
-about 1.8 us, `ordering_ok` 0.9 us and the five-row CSV template 6.5 us, of
-which 4.9 us are the ten 17-digit log and value cells: those cells are the
-floor, since each digit is output.
+(n, v, x) order (`_check_grid`), then walks the points once.  Per point, the
+five kernels and `ordering_ok` are the smaller part of the cost; most of it
+is writing the ten 17-digit log and value cells, which are the floor, since
+each digit is output.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence, TextIO
+from typing import Any, Callable, Optional, TextIO
 
 from . import bounds as bnd
 
@@ -248,11 +247,7 @@ def cmd_bounds(p: dict[str, Any], out: TextIO) -> int:
 # ---------------------------------------------------------------------------
 
 
-#: A grid block (n, vs, xs): the points (x, v, n) for every v in vs and x in xs.
-GridBlock = tuple[int, Sequence[float], Sequence[float]]
-
-
-def _parse_grid_file(path: str) -> list[GridBlock]:
+def _parse_grid_file(path: str) -> list[bnd.GridBlock]:
     values = load_config(path)
     try:
         xs = [float(t) for t in values["x"].split(",")]
@@ -263,26 +258,19 @@ def _parse_grid_file(path: str) -> list[GridBlock]:
     return [(n, vs, xs) for n in ns]
 
 
-def _check_grid(blocks: list[GridBlock]) -> None:
+def _check_grid(blocks: list[bnd.GridBlock]) -> None:
     """Refuse the grid as building a `TailQuery` at every point in (n, v, x)
-    order would, with the same first message, from one query per axis value.
-
-    A block checks its x values at (vs[0], n) and then its v values at
-    (xs[0], n); the first query also checks n.  A list equal to the previous
-    block's was checked there and is skipped, so a grid file's product is
-    checked as every x at (vs[0], ns[0]), every v at (xs[0], ns[0]) and every n
-    at (xs[0], vs[0]).  `TailQuery` checks each coordinate on its own, so once
-    the first query of a block passes, the first point the product walk would
-    refuse is the first refused here.
+    order would, with the same first message, from one query per axis value
+    of each block: its x values at (vs[0], n), then its v values at (xs[0], n);
+    the first query also checks n.  `TailQuery` checks each coordinate on its
+    own, so once a block's first query passes, the first point the product
+    walk would refuse is the first refused here.
     """
-    prev_vs = prev_xs = None
     for n, vs, xs in blocks:
-        for x in xs[:1] if xs == prev_xs else xs:
+        for x in xs:
             bnd.TailQuery(x, vs[0], n)
-        if vs != prev_vs:
-            for v in vs[1:]:
-                bnd.TailQuery(xs[0], v, n)
-        prev_vs, prev_xs = vs, xs
+        for v in vs[1:]:
+            bnd.TailQuery(xs[0], v, n)
 
 
 #: One grid point's five CSV rows, in `bounds.CORE` order.  Each row takes the

@@ -284,8 +284,10 @@ def core_bounds(q: TailQuery) -> list[tuple[str, LogProb]]:
 def ordering_ok(logs: Sequence[float]) -> bool:
     """Whether core log values in `CORE` order are all <= 0 (probabilities)
     and satisfy every `ORDERING` edge."""
-    return max(logs) <= 0.0 and all(logs[lo] <= logs[hi] + ORDER_SLACK
-                                    for lo, hi in _ORDER_INDEX)
+    for lo, hi in _ORDER_INDEX:
+        if not logs[lo] <= logs[hi] + ORDER_SLACK:  # a NaN breaks the edge
+            return False
+    return max(logs) <= 0.0
 
 
 def azuma_denominator(x: float, n: int, b: float) -> tuple[float, str]:

@@ -19,15 +19,15 @@ nothing is absorbed, so the pass starts at k0 from the Binomial(k0 - 1, p_a)
 pmf, the closed form of those steps.  From there it advances a block of
 BLOCK_STEPS steps at a time: the counts that cannot reach x within the block
 in one convolution with the Binomial(BLOCK_STEPS, p_a) weights, the band
-below the threshold through a cached transfer matrix.  One step builds
-both: two rounded products and one rounded add, applied to the band's
-identity for a transfer and to a single count for the weights.  The
-absorbed probability by step k is the same bits for every horizon n >= k.
-The blocks round differently from stepping one step at a time, and the
-tests hold the absorbed probabilities within 1e-13 relative of a pass
-stepped from count 0 and within 2e-14 of an exact integer pass.  The
-comparison with the bounds is `suites.exact_vs_bound`, which checks their
-hypotheses.
+below the threshold in one product per chunk with a transfer matrix.  One
+step builds both, two rounded products and one rounded add, applied to the
+band's identity for a transfer and to one count for the weights, and one
+cache holds both.  The absorbed probability by step k is the same bits for
+every horizon n >= k.  The blocks round differently from stepping one step
+at a time, and the tests hold the absorbed probabilities within 1e-13
+relative of a pass stepped from count 0 and within 2e-14 of an exact
+integer pass.  The comparison with the bounds is `suites.exact_vs_bound`,
+which checks their hypotheses.
 """
 
 from __future__ import annotations
@@ -56,10 +56,9 @@ STATE_CAP = 10**6
 ENUM_MAX_N = 25
 #: Steps that `first_passage_dp` advances per block.
 BLOCK_STEPS = 48
-#: Entries of each of the two caches of `first_passage_dp`: the transfers,
-#: each at most 3 * BLOCK_STEPS^2 doubles (55 KB), and the block kernels,
-#: each BLOCK_STEPS + 1 doubles and built from a one-count transfer of the
-#: first cache; 7.1 MB in all at most, whatever n.
+#: Entries of the one cache of `first_passage_dp`, the transfers, each at
+#: most 3 * BLOCK_STEPS^2 doubles (55 KB); the block weights are columns of
+#: its one-count transfers.  7.1 MB at most, whatever n.
 TRANSFER_CACHE = 128
 _STEPS = np.arange(1, BLOCK_STEPS + 1)
 
@@ -129,13 +128,14 @@ def first_passage_dp(
     block cut short at n.  In the block after step s no count below
     lo = max(0, min(live, min_i (j*_(s+i) - i))), i = 1..B, can reach x, so
     that interior advances in one `np.correlate` with the Binomial(B, p_a)
-    weights of `_block_kernel`, one count stepped through a block that
-    absorbs nothing.  The band of counts [lo, live) advances through
-    `_band_transfer`: two matrix products give its surviving masses and the
-    mass it loses at each step.  A transfer depends only on p_a, p_b, the
-    band width and the thresholds relative to lo, whose windows repeat from
-    block to block and pass to pass, so the transfers sit in a cache bounded
-    whatever n (TRANSFER_CACHE).
+    weights for j = B down to 0, the reversed surviving column of a
+    one-count transfer through a block that absorbs nothing.  The band of
+    counts [lo, live) advances through `_band_transfer`: one matrix product
+    per chunk of B counts gives the mass it loses at each step and its
+    surviving masses.  A transfer depends only on p_a, p_b, the band width
+    and the thresholds relative to lo, whose windows repeat from block to
+    block and pass to pass, so the transfers, the weights' among them, sit
+    in one cache bounded whatever n (TRANSFER_CACHE).
 
     What is bit-exact: every block reads a full window of thresholds (up to
     n + B), so lo and the band do not depend on n; a block cut short at n
@@ -174,17 +174,20 @@ def first_passage_dp(
     # be absorbed within the block that starts after step s
     reach = (windows - _STEPS).min(axis=1).tolist()
     gains = np.zeros(windows.shape)  # the mass absorbed at each step from k0 on
+    weights = np.zeros(0)
     for s, window, low, gained in zip(starts, windows, reach, gains):
         steps = min(BLOCK_STEPS, n - s)
         lo = max(0, min(live, low))
-        new = np.correlate(mass[:lo], _block_kernel(pa, pb, steps), "full") if lo else np.zeros(0)
+        if lo and len(weights) != steps + 1:  # the first block with lo > 0, or one cut short
+            never = np.full(steps, steps + 1, np.int64).tobytes()  # cuts that absorb nothing
+            weights = _band_transfer(pa, pb, 1, never)[BLOCK_STEPS:, 0][::-1]
+        new = np.correlate(mass[:lo], weights, "full") if lo else np.zeros(0)
         # one chunk unless b > 0, where the band can be wider than a block
         for c0 in range(lo, live, BLOCK_STEPS):
             band = mass[c0:c0 + BLOCK_STEPS]
-            cuts = window[:steps] - c0
-            state, absorbs = _band_transfer(pa, pb, len(band), cuts.tobytes())
-            gained += absorbs @ band
-            part = state @ band
+            out = _band_transfer(pa, pb, len(band), (window[:steps] - c0).tobytes()) @ band
+            gained += out[:BLOCK_STEPS]
+            part = out[BLOCK_STEPS:]
             end = c0 + len(part)
             if end > len(new):
                 new = np.concatenate((new, np.zeros(end - len(new))))
@@ -197,27 +200,16 @@ def first_passage_dp(
 
 
 @functools.lru_cache(maxsize=TRANSFER_CACHE)
-def _block_kernel(pa: float, pb: float, steps: int) -> np.ndarray:
-    """The weights of the Binomial(steps, pa) count for j = steps down to 0,
-    the order in which `np.correlate` applies them as a convolution: the
-    surviving column of a one-count `_band_transfer` whose cuts never absorb,
-    so each weight is built by the pass's own step."""
-    state, _ = _band_transfer(pa, pb, 1, np.full(steps, steps + 1, np.int64).tobytes())
-    kernel = state[::-1, 0].copy()
-    kernel.flags.writeable = False
-    return kernel
-
-
-@functools.lru_cache(maxsize=TRANSFER_CACHE)
-def _band_transfer(pa: float, pb: float, width: int, cuts: bytes) -> tuple[np.ndarray, np.ndarray]:
+def _band_transfer(pa: float, pb: float, width: int, cuts: bytes) -> np.ndarray:
     """The transfer of a band of `width` counts through len(cuts) <=
     BLOCK_STEPS steps, where step i absorbs the counts r >= cuts[i] counted
     from the band's bottom (`cuts` holds int64 bytes, the cache key).
 
-    Returns (state, absorbs): column c holds, for unit mass started at count
-    c, the surviving masses after the last step (state) and the mass
-    absorbed at each step (absorbs, zero past the last step).  absorbs has
-    BLOCK_STEPS rows whatever len(cuts), so `absorbs @ band` has one shape,
+    Returns one read-only matrix whose column c holds, for unit mass started
+    at count c, the mass absorbed at each step in its first BLOCK_STEPS rows
+    (zero past the last step) stacked over the surviving masses after the
+    last step, so one product with the band gives both.  There are
+    BLOCK_STEPS absorbed rows whatever len(cuts), so they have one shape,
     and one arithmetic per row, for a window cut short as for the whole one:
     stepping is causal, so a prefix of `cuts` gives the same first rows, bit
     for bit.  The band's identity is stepped as one flat vector, each column
@@ -240,9 +232,9 @@ def _band_transfer(pa: float, pb: float, width: int, cuts: bytes) -> tuple[np.nd
         live = min(live, max(cut, 0))
         if not live:
             break
-    state = np.ascontiguousarray(flat.reshape(width, stride)[:, :live].T)
-    state.flags.writeable = absorbs.flags.writeable = False
-    return state, absorbs
+    transfer = np.concatenate((absorbs, flat.reshape(width, stride)[:, :live].T))
+    transfer.flags.writeable = False
+    return transfer
 
 
 def _final_tail(law: LatticeLaw, n: int, x: float) -> float:

@@ -339,6 +339,20 @@ class TestDpInternals:
             self._check_against_the_exact_integer_pass(law, n, x)
             assert orc.first_passage_dp(law, n, x)[2] <= 1e-12
 
+    def test_a_cold_transfer_cache_gives_the_warm_bits(self):
+        # the block weights are views into cached transfers, so building,
+        # evicting and reusing the transfers must not move a bit
+        def hexes(law, n, x):
+            absorbed_cum, final, defect = orc.first_passage_dp(law, n, x)
+            return [p.hex() for p in absorbed_cum], [p.hex() for p in final], defect.hex()
+
+        for law in DP_LAWS + [orc.LatticeLaw(((1.0, 0.3), (0.9, 0.7)))]:
+            for n in (40, 300, 2000):
+                for x in (0.05 * n, 0.3 * n, float(n)):
+                    orc._band_transfer.cache_clear()
+                    cold = hexes(law, n, x)
+                    assert hexes(law, n, x) == cold
+
     def test_a_pass_that_never_absorbs_is_the_binomial_pmf(self):
         # x = 1e9: k0 = n + 1, no step runs, and the surviving masses are the
         # Binomial(n, p_a) pmf
@@ -364,17 +378,19 @@ class TestDpInternals:
     @pytest.mark.parametrize("m", [0, 1, 17, 48, 50, 2000])
     def test_binomial_pmf_at_extreme_probabilities(self, pa, m):
         # a RuntimeWarning fails the test; terms below 1e-300 may underflow.
-        # Up to a block the stepped weights of the block kernel are held
-        # closer: the largest gap measured here is 3.3e-15
+        # Up to a block the stepped weights, the surviving column of a
+        # one-count transfer that never absorbs, are held closer: the
+        # largest gap measured here is 3.3e-15
         pmf = orc._binomial_pmf(m, pa, 1.0 - pa)
         assert len(pmf) == m + 1 and np.all(np.isfinite(pmf))
         exact = np.array(_exact_binomial_pmf(m, pa, 1.0 - pa))
         big = exact >= 1e-300
         assert np.allclose(pmf[big], exact[big], rtol=1e-12, atol=0)
         if 1 <= m <= orc.BLOCK_STEPS:
-            kernel = orc._block_kernel(pa, 1.0 - pa, m)[::-1]
-            assert not kernel.flags.writeable
-            assert np.all(abs(kernel[big] - exact[big]) <= 1e-14 * exact[big])
+            never = np.full(m, m + 1, np.int64).tobytes()
+            weights = orc._band_transfer(pa, 1.0 - pa, 1, never)[orc.BLOCK_STEPS:, 0]
+            assert not weights.flags.writeable
+            assert np.all(abs(weights[big] - exact[big]) <= 1e-14 * exact[big])
 
     def test_defect_is_the_correctly_rounded_one_within_1e_15(self):
         # the pairwise sum of the surviving masses moves the defect by about

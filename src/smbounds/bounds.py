@@ -62,6 +62,17 @@ def _require_square(name: str, value: float) -> None:
         raise ValueError(f"{name} squared must be a positive finite double, got {name}={value!r}")
 
 
+def _require_horizon(n: int) -> None:
+    """Refuse a horizon that rounds past the largest double (n >= 2^1024 -
+    2^970): the bounds take n into floats (n / (n + v^2), n * b), where such
+    an n raises OverflowError."""
+    try:
+        float(n)
+    except OverflowError:
+        raise ValueError(f"n must be below 2^1024 - 2^970, the doubles' range, "
+                         f"got an n of {int(n).bit_length()} bits") from None
+
+
 @dataclass(frozen=True)
 class TailQuery:
     """Deviation query: threshold x >= 0, variance-budget root v > 0, horizon n >= 1."""
@@ -79,6 +90,7 @@ class TailQuery:
         _require_square("v", self.v)
         if int(self.n) != self.n or self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        _require_horizon(self.n)
 
 
 @dataclass(frozen=True)
@@ -184,16 +196,28 @@ def _freedman_log(x: float, v: float) -> float:
     return 0.0 - _rate(x, v * v)
 
 
+# Bennett's and Bernstein's logs are -x^2 / denominator.  Where x^2 or the
+# denominator overflows, which gives -inf, -0 or NaN, both are divided by x and
+# the log is taken in r = v^2 / x.
+
+
 def _bennett_log(x: float, v: float) -> float:
     if x == 0:
         return 0.0
     v2 = v * v
     denom = v2 * (1.0 + math.sqrt(1.0 + 2.0 * x / (3.0 * v2))) + x / 3.0
-    return -x * x / denom
+    xx = x * x
+    if xx < math.inf and denom < math.inf:
+        return -xx / denom
+    r = v2 / x
+    return -x / (r + math.sqrt(r) * math.sqrt(r + 2.0 / 3.0) + 1.0 / 3.0)
 
 
 def _bernstein_log(x: float, v: float) -> float:
-    return -x * x / (2.0 * (v * v + x / 3.0))
+    xx, denom = x * x, 2.0 * (v * v + x / 3.0)
+    if xx < math.inf and denom < math.inf or x == 0:  # x = 0 gives -0 whatever denom is
+        return -xx / denom
+    return -x / (2.0 * (v * v / x) + 2.0 / 3.0)
 
 
 def _prohorov_log(x: float, v: float) -> float:
@@ -248,7 +272,8 @@ CORE = ("hoeffding", "freedman", "bennett", "bernstein", "prohorov")
 ORDERING = (("hoeffding", "freedman"), ("freedman", "bennett"),
             ("bennett", "bernstein"), ("hoeffding", "prohorov"))
 
-#: Round-off slack allowed on each ordering edge, in log space.
+#: Absolute round-off slack allowed on each ordering edge, in log space;
+#: `ordering_ok` also allows a relative one.
 ORDER_SLACK = 1e-10
 
 _ORDER_INDEX = tuple((CORE.index(lo), CORE.index(hi)) for lo, hi in ORDERING)
@@ -283,10 +308,15 @@ def core_bounds(q: TailQuery) -> list[tuple[str, LogProb]]:
 
 def ordering_ok(logs: Sequence[float]) -> bool:
     """Whether core log values in `CORE` order are all <= 0 (probabilities)
-    and satisfy every `ORDERING` edge."""
+    and satisfy every `ORDERING` edge: log lower <= log upper within
+    ORDER_SLACK, or else within 16 * 2^-53 * |log upper|, since a log of size
+    L rounds by about L 2^-53.  A NaN breaks an edge, and so does a finite
+    lower log above a -inf upper one."""
     for lo, hi in _ORDER_INDEX:
-        if not logs[lo] <= logs[hi] + ORDER_SLACK:  # a NaN breaks the edge
-            return False
+        if not logs[lo] <= logs[hi] + ORDER_SLACK:
+            # at a -inf upper log the allowance is -inf + inf, a NaN
+            if not logs[lo] <= logs[hi] + 2.0**-49 * abs(logs[hi]):
+                return False
     return max(logs) <= 0.0
 
 
@@ -295,6 +325,7 @@ def azuma_denominator(x: float, n: int, b: float) -> tuple[float, str]:
     _require_finite(x=x, b=b)
     if x < 0 or b <= 0 or n < 1:
         raise ValueError(f"need x >= 0, b > 0, n >= 1, got x={x}, b={b}, n={n}")
+    _require_horizon(n)
     # a product, not ** 2, so a huge b gives +inf (the variance branch) and
     # no OverflowError
     u_range = n * ((1.0 + b) * (1.0 + b))
@@ -326,6 +357,7 @@ def hoeffding_bounded(x: float, n: int, b: float, supermartingale: bool = False)
         raise ValueError(f"b must be > 0, got {b}")
     if supermartingale and b > 1:
         raise ValueError(f"supermartingale regime requires 0 < b <= 1, got b={b}")
+    _require_horizon(n)
     nb = n * b
     if not 0.0 < nb < math.inf:
         raise ValueError(f"n*b must be a positive finite double, got n={n}, b={b!r}")
@@ -381,6 +413,7 @@ def bennett_classic(t: float, sigma2: float, n: int) -> LogProb:
     _require_finite(t=t, sigma2=sigma2)
     if t < 0 or sigma2 <= 0 or n < 1:
         raise ValueError(f"need t >= 0, sigma2 > 0, n >= 1, got t={t}, sigma2={sigma2}, n={n}")
+    _require_horizon(n)
     return LogProb.from_log(0.0 - n * _rate(t, sigma2))
 
 
@@ -393,6 +426,7 @@ def hoeffding_independent(t: float, sigma2: float, n: int) -> LogProb:
         raise ValueError(f"t must be in [0, 1), got {t}")
     if sigma2 <= 0 or n < 1:
         raise ValueError(f"need sigma2 > 0 and n >= 1, got sigma2={sigma2}, n={n}")
+    _require_horizon(n)
     return LogProb.from_log(0.0 - n * (_rate(t, sigma2) + _rate(-t, 1.0)) / (1.0 + sigma2))
 
 

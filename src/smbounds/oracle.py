@@ -40,7 +40,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .processes import IncrementLaw, TwoPoint, _threshold_line, budget_steps, count_thresholds
+from .processes import (EventSpec, EventVariant, IncrementLaw, TwoPoint, _threshold_line,
+                         budget_steps, count_thresholds)
 
 __all__ = [
     "StateSpaceError",
@@ -69,23 +70,24 @@ class StateSpaceError(RuntimeError):
 
 @dataclass(frozen=True)
 class LatticeLaw:
-    """Two-point law given by its two (value, probability) atoms, in any
-    order; the atoms must make a valid `TwoPoint`."""
+    """Two-point law given by its two (value, probability) atoms in any
+    order, which must make a valid `TwoPoint`; it keeps them upper atom
+    first, as `TwoPoint.atoms` returns them."""
 
     atoms: tuple[tuple[float, float], ...]
 
     def __post_init__(self) -> None:
         if len(self.atoms) != 2:
             raise ValueError(f"a law needs exactly two atoms, got {len(self.atoms)}")
-        (a, pa), (b, pb) = sorted(self.atoms, reverse=True)
-        TwoPoint(a, b, pa, pb, "lattice")  # refuses bad atoms with a ValueError
+        (a, pa), (b, pb) = sorted(self.atoms, reverse=True)  # TwoPoint refuses bad atoms
+        object.__setattr__(self, "atoms", TwoPoint(a, b, pa, pb, "lattice").atoms())
 
     @classmethod
     def from_increment_law(cls, law: IncrementLaw) -> "LatticeLaw":
         atoms = law.atoms()
         if atoms is None:
             raise ValueError(f"{law!r} has continuous support; no exact oracle")
-        return cls(tuple(atoms))
+        return cls(atoms)
 
     @property
     def m2(self) -> float:
@@ -159,7 +161,7 @@ def first_passage_dp(
         raise ValueError(f"x must be finite, got {x}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
+    (a, pa), (b, pb) = law.atoms
     if n + 1 > STATE_CAP:
         raise StateSpaceError(f"{n + 1} count states exceed the cap {STATE_CAP}")
     thresholds = count_thresholds(a, b, x, n + BLOCK_STEPS)
@@ -241,7 +243,7 @@ def _final_tail(law: LatticeLaw, n: int, x: float) -> float:
     """P(X_n >= x) = P(J >= j*_n) for the count J ~ Binomial(n, p_a) of
     a-steps, with no absorption; j*_n is the last of `count_thresholds`,
     computed alone on the same integer line, summed over `_binomial_pmf`."""
-    (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
+    (a, pa), (b, pb) = law.atoms
     nu, nw, q = _threshold_line(a, b, x)
     j_star = (nu + q - 1 - n * nw) // q
     return float(_binomial_pmf(n, pa, pb)[max(j_star, 0):].sum())
@@ -263,8 +265,6 @@ def _binomial_pmf(m: int, pa: float, pb: float) -> np.ndarray:
 
 def _enumerate(law: LatticeLaw, n: int, x: float, v: float) -> ExactResult:
     """Brute force over |atoms|^n paths; the independent route for the DP."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if n > ENUM_MAX_N:
         raise ValueError(f"enumeration is capped at n <= {ENUM_MAX_N}, got {n}")
     k_max = budget_steps(law.m2, n, v)
@@ -305,21 +305,16 @@ def exact_event_probability(
     0; when the budget never binds (k_max = n) it takes the final tail in
     closed form from the Binomial(n, p_a) count of a-steps.  The STATE_CAP
     refusal therefore counts k_max + 1 states.  "enumerate" walks every path
-    (n <= ENUM_MAX_N).
+    (n <= ENUM_MAX_N).  x and v are refused as `EventSpec` refuses them, and
+    a law of second moment 0 uses none of the budget (`budget_steps`).
     """
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x}")
-    if not (math.isfinite(v) and v > 0):
-        raise ValueError(f"v must be finite and > 0, got {v}")
-    if law.m2 <= 0:
-        raise ValueError("law has zero second moment; every budget is trivial")
+    EventSpec(x, v, EventVariant.STOPPED_ANY_K)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if method == "enumerate":
         return _enumerate(law, n, x, v)
     if method != "dp":
         raise ValueError(f"unknown method {method!r}")
-
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     k_max = budget_steps(law.m2, n, v)
     if k_max == 0:
         return ExactResult(0.0, 0.0, 0.0, n, x, v, 0.0)

@@ -45,16 +45,16 @@ def exact_hit(increments, per_step: float, spec) -> bool:
 
 def exact_absorbed_cum(law, n: int, x: float) -> list[float]:
     """The first-passage probabilities P(X_k >= x for some k' <= k), k = 0..n,
-    of IID steps on the two atoms of `law` (a > b, taken as exact doubles),
-    each correctly rounded from an exact integer DP over the count j of
-    a-steps.
+    of IID steps on the two atoms of `law` (a > b, upper atom first, taken
+    as exact doubles), each correctly rounded from an exact integer DP over
+    the count j of a-steps.
 
     With p_a = A/D and p_b = B/D over their common power-of-two denominator
     D, the masses after k steps are held times D^k, so every step is exact
     in integers: M'[j] = M[j-1] A + M[j] B.  A count is absorbed at step k
     when j a + (k - j) b >= x, decided in rationals; the absorbed total by
     step k is C_k / D^k with C_k = C_(k-1) D + (mass absorbed at step k)."""
-    (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
+    (a, pa), (b, pb) = law.atoms
     (na, da), (nb, db) = pa.as_integer_ratio(), pb.as_integer_ratio()
     d = max(da, db)
     na, nb = na * (d // da), nb * (d // db)

@@ -5,6 +5,7 @@ displayed formulas (mpmath); trivial ones are asserted directly.
 """
 
 import math
+import random
 import re
 
 import pytest
@@ -383,6 +384,114 @@ class TestCancellationRegime:
                             float(want_b), rel=self.REL, abs=0), (t, s2, n)
                         assert bnd.hoeffding_independent(t, s2, n).log_value == pytest.approx(
                             float(want_h), rel=self.REL, abs=0), (t, s2, n)
+
+
+def _log_uniform_queries(seed, count):
+    """`count` valid queries, log-uniform in x from 1e-300 to 1e308, in v
+    from 1e-160 to 1e154 and in n from x/1000 to 1000x (at least 1)."""
+    rng = random.Random(seed)
+    queries = []
+    while len(queries) < count:
+        x = 10.0 ** rng.uniform(-300.0, 308.0)
+        v = 10.0 ** rng.uniform(-160.0, 154.0)
+        e = rng.uniform(math.log10(x) - 3.0, math.log10(x) + 3.0)
+        # 10^e in exact integers past the doubles, where TailQuery refuses it
+        n = max(1, int(10.0 ** min(e, 300.0)) * 10 ** max(0, math.ceil(e - 300.0)))
+        try:
+            queries.append(bnd.TailQuery(x, v, n))
+        except ValueError:
+            pass
+    return queries
+
+
+class TestLargeArguments:
+    """Overflow in Bennett's and Bernstein's kernels, the rounding of large
+    logs on the ordering chain, and horizons past the doubles."""
+
+    #: a horizon of 2^1024 - 2^970 or more rounds to infinity as a double
+    HUGE_N = (2**1024, 2**1024 - 2**970, 10**400)
+
+    def test_valid_queries_are_answered_and_ordered(self):
+        # the kernels raise nothing (no NaN) and the chain holds with its
+        # absolute and relative allowances on every query
+        for q in _log_uniform_queries(35, 20000):
+            assert bnd.ordering_ok(bnd.core_logs(q)), q
+
+    def test_kernels_keep_their_bits_where_nothing_overflows(self):
+        rng = random.Random(36)
+        checked = 0
+        while checked < 10**4:
+            x = 10.0 ** rng.uniform(-300.0, 160.0)
+            v = 10.0 ** rng.uniform(-150.0, 155.0)
+            v2 = v * v
+            if not 0.0 < v2 < math.inf:
+                continue
+            bennett_denom = v2 * (1.0 + math.sqrt(1.0 + 2.0 * x / (3.0 * v2))) + x / 3.0
+            bernstein_denom = 2.0 * (v * v + x / 3.0)
+            if max(x * x, bennett_denom, bernstein_denom) == math.inf:
+                continue
+            assert bnd._bennett_log(x, v).hex() == (-x * x / bennett_denom).hex()
+            assert bnd._bernstein_log(x, v).hex() == (-x * x / bernstein_denom).hex()
+            checked += 1
+        # at x = 0 Bernstein's -0 stands even where its denominator overflows
+        for v in (1.0, 1e154):
+            assert bnd._bernstein_log(0.0, v).hex() == (-0.0 * 0.0 / (2.0 * v * v)).hex()
+
+    @pytest.mark.parametrize("x, v", [
+        (1e200, 1e-60),   # x^2 and Bennett's denominator overflow (NaN before)
+        (1e155, 1e60),    # only x^2 overflows (-inf before)
+        (1e10, 1e-150),   # only 2x / (3v^2) overflows (-0 before)
+        (1e308, 1e150),   # 2x overflows as well
+        (1.0, 1e-160),    # v^2 is subnormal
+    ])
+    def test_overflowing_kernels_against_50_digits(self, x, v):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            mx, mv2 = mpmath.mpf(x), mpmath.mpf(v) ** 2
+            want_bennett = -mx**2 / (mv2 * (1 + mpmath.sqrt(1 + 2 * mx / (3 * mv2))) + mx / 3)
+            want_bernstein = -mx**2 / (2 * (mv2 + mx / 3))
+            assert bnd._bennett_log(x, v) == pytest.approx(float(want_bennett), rel=1e-14)
+            assert bnd._bernstein_log(x, v) == pytest.approx(float(want_bernstein), rel=1e-14)
+        assert bnd._bennett_log(x, v) <= bnd._bernstein_log(x, v) < 0.0
+
+    def test_the_relative_allowance_of_an_edge(self):
+        index = {name: i for i, name in enumerate(bnd.CORE)}
+        logs = [-1e9] * 5
+        f, b = index["freedman"], index["bennett"]
+        unit = 2.0**-53 * 1e9  # about the rounding of a log of size 1e9
+        for gap, holds in ((15 * unit, True), (17 * unit, False)):
+            above = list(logs)
+            above[f] = logs[b] + gap  # misses the absolute slack of 1e-10
+            assert gap > bnd.ORDER_SLACK
+            assert bnd.ordering_ok(above) is holds
+        for lower, upper in ((math.nan, -1.0), (-1.0, math.nan), (-1.0, -math.inf)):
+            broken = list(logs)
+            broken[f], broken[b] = lower, upper
+            assert not bnd.ordering_ok(broken)
+        both = [-math.inf] * 5  # -inf below -inf holds
+        assert bnd.ordering_ok(both)
+
+    @pytest.mark.parametrize("n", HUGE_N, ids=("2^1024", "2^1024-2^970", "10^400"))
+    def test_horizons_past_the_doubles_are_refused(self, n):
+        message = "n must be below 2^1024 - 2^970"
+        calls = [lambda: bnd.TailQuery(1.0, 1.0, n),
+                 lambda: bnd.azuma_denominator(1.0, n, 0.5),
+                 lambda: bnd.azuma_refined(1.0, n, 0.5),
+                 lambda: bnd.hoeffding_bounded(1.0, n, 0.5),
+                 lambda: bnd.fuk_nagaev(1.0, 1.0, 1.0, n, 0.0),
+                 lambda: bnd.bennett_classic(0.5, 1.0, n),
+                 lambda: bnd.hoeffding_independent(0.5, 1.0, n)]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    def test_the_largest_horizon_a_double_holds_is_answered(self):
+        n = 2**1024 - 2**970 - 1  # rounds down to the largest double
+        assert float(n) == 1.7976931348623157e308
+        bnd.hoeffding(bnd.TailQuery(1.0, 1.0, n))
+        bnd.azuma_refined(1.0, n, 1e-300)
+        bnd.bennett_classic(0.5, 1.0, n)
+        bnd.hoeffding_independent(0.5, 1.0, n)
 
 
 class TestRegistry:

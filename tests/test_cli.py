@@ -246,6 +246,46 @@ def test_grid_check_of_per_block_lists_keeps_product_order(blocks):
     assert str(checked.value) == str(first.value)
 
 
+#: Points where the ordering chain or the Bennett and Bernstein kernels
+#: failed on valid queries: two logs of size 8e8 and 2e5 whose rounding
+#: exceeds the absolute slack, then x^2 and Bennett's denominator both
+#: overflowing (NaN), x^2 alone (-inf), and 2x/(3v^2) alone (-0).
+LARGE_POINTS = [
+    (1.4276988735455078e+20, 3494108508243913.5, 29483769812635640397825),
+    (1.1732646865674703e+18, 1837973035557215.0, 3678587061314785281),
+    (1e200, 1e-60, 10),
+    (1e155, 1e60, 10),
+    (1e10, 1e-150, 10),
+]
+
+
+@pytest.mark.parametrize("x, v, n", LARGE_POINTS)
+def test_large_points_pass_the_chain(x, v, n, tmp_path, capsys):
+    grid = tmp_path / "grid.cfg"
+    grid.write_text(f"x = {x!r}\nv = {v!r}\nn = {n}\n")
+    code, out, err = run(["compare", "--grid", str(grid)], capsys)
+    assert (code, err) == (0, "")
+    assert {line.split(",")[12] for line in out.splitlines()[1:]} == {"PASS"}
+
+
+@pytest.mark.parametrize("x, v, n", LARGE_POINTS[2:])
+def test_bennett_is_finite_and_below_bernstein_where_it_overflowed(x, v, n, capsys):
+    code, out, _ = run(["bounds", "--x", repr(x), "--v", repr(v), "--n", str(n),
+                        "--format", "json"], capsys)
+    assert code == 0
+    logs = {row["bound_name"]: row["log_value"] for row in json.loads(out)["bounds"]}
+    assert isinstance(logs["bennett"], float) and math.isfinite(logs["bennett"])
+    assert logs["bennett"] < logs["bernstein"] < 0.0
+
+
+@pytest.mark.parametrize("extra", [[], ["--b", "0.5"], ["--y", "2"]])
+def test_a_horizon_past_the_doubles_is_a_usage_error(extra, capsys):
+    code, out, err = run(["bounds", "--x", "1", "--v", "1", "--n", str(2**1024)] + extra,
+                         capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("smbounds bounds: n must be below 2^1024")
+
+
 class TestSimulateCommand:
     def test_oracle_instance(self, capsys):
         code, out, _ = run(["simulate", "--law", "bounded:1", "--event", "stopped",

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from reference import exact_absorbed_cum, exact_hit
+from smbounds import montecarlo as mc
 from smbounds import oracle as orc
 from smbounds import processes as prc
 from smbounds import suites
@@ -38,6 +39,13 @@ class TestLatticeLaw:
     def test_rejects_non_finite_atoms(self, atoms):
         with pytest.raises(ValueError, match="finite"):
             orc.LatticeLaw(atoms)
+
+    def test_atoms_are_kept_upper_atom_first(self):
+        # as `TwoPoint.atoms` returns them, whatever order they are given in
+        for atoms in (((1.0, 0.3), (-0.45, 0.7)), [(-0.45, 0.7), (1.0, 0.3)]):
+            law = orc.LatticeLaw(atoms)
+            assert law.atoms == prc.TwoPoint(1.0, -0.45, 0.3, 0.7, "t").atoms()
+            assert law == orc.LatticeLaw(((1.0, 0.3), (-0.45, 0.7)))
 
     def test_from_increment_law(self):
         law = orc.LatticeLaw.from_increment_law(prc.TwoPointExtremal(0.5))
@@ -86,10 +94,21 @@ class TestExactEventProbability:
         res = orc.exact_event_probability(RADEMACHER, 4, 5.0, 10.0)
         assert res.p_stopped == 0.0
 
-    def test_rejects_zero_second_moment(self):
-        law = orc.LatticeLaw(((0.0, 0.5), (5e-324, 0.5)))  # m2 underflows to 0
-        with pytest.raises(ValueError):
-            orc.exact_event_probability(law, 2, 0.5, 1.0)
+    def test_answers_a_law_of_zero_second_moment(self):
+        # m2 underflows to 0, so the budget binds at no step and every event
+        # is first passage within n steps: x = 0 is reached by any path, the
+        # upper atom by any path with an up step, 0.5 by none
+        law = orc.LatticeLaw(((0.0, 0.5), (5e-324, 0.5)))
+        assert law.m2 == 0.0
+        sampled = prc.TwoPoint(5e-324, 0.0, 0.5, 0.5, "tiny")
+        for n in range(1, 9):
+            for x, want in ((0.0, 1.0), (5e-324, 1.0 - 0.5**n), (0.5, 0.0)):
+                res = orc.exact_event_probability(law, n, x, 1.0)
+                assert res.p_stopped == res.p_max == res.p_final == want
+                assert orc.exact_event_probability(law, n, x, 1.0, method="enumerate") == res
+                spec = prc.EventSpec(x, 1.0, prc.EventVariant.STOPPED_ANY_K)
+                est = mc.estimate_event(sampled, spec, n, 4000, seed=n)
+                assert est.ci_low <= want <= est.ci_high
 
     def test_negative_threshold(self):
         # paths (+1, .) and (-1, +1) touch a sum >= -0.5; (-1, -1) never does
@@ -101,7 +120,9 @@ class TestExactEventProbability:
         ("v", 1.0, math.inf), ("v", 1.0, math.nan),
     ])
     def test_rejects_non_finite_x_and_v(self, param, x, v):
-        with pytest.raises(ValueError, match=f"^{param} must be finite"):
+        # with the messages of Monte Carlo's `EventSpec`
+        message = {"x": f"x must be finite, got {x}", "v": f"v must be > 0, got {v}"}[param]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             orc.exact_event_probability(RADEMACHER, 4, x, v)
         if param == "x":
             with pytest.raises(ValueError, match="^x must be finite"):
@@ -158,7 +179,7 @@ def _float_count_dp(law, n, x, start=(1, (1.0,))):
     m[j-1]*pa, absorbing the counts j >= j*_k of `count_thresholds`.  It runs
     from step k0 on, given the masses over the counts after step k0 - 1 as
     start = (k0, masses); by default from step 1, with all mass at count 0."""
-    (a, pa), (b, pb) = sorted(law.atoms, reverse=True)
+    (a, pa), (b, pb) = law.atoms
     thresholds = prc.count_thresholds(a, b, x, n).tolist()
     k0, m = start
     m, absorbed, absorbed_cum = np.array(m, dtype=float), 0.0, [0.0] * k0
@@ -182,7 +203,7 @@ def _float_count_dp(law, n, x, start=(1, (1.0,))):
 
 def _first_absorbing_step(law, n, x):
     """The first step k >= 1 at which some count reaches x, or n + 1."""
-    (a, _), (b, _) = sorted(law.atoms, reverse=True)
+    (a, _), (b, _) = law.atoms
     thresholds = prc.count_thresholds(a, b, x, n)
     return next((k for k in range(1, n + 1) if thresholds[k] <= k), n + 1)
 
@@ -245,7 +266,7 @@ class TestDpInternals:
             orc.LatticeLaw.from_increment_law(prc.parse_law(spec))
             for spec in ("bounded:0.45", "drifted:0.5,0.1")]
         for law in laws:
-            fa, fb = (Fraction(v) for v, _ in sorted(law.atoms, reverse=True))
+            fa, fb = (Fraction(v) for v, _ in law.atoms)
             for n in (1, 5, 40, 120):
                 x = float(rng.uniform(-1.0, 0.6 * n))
                 absorbed_cum, final, _ = orc.first_passage_dp(law, n, x)
@@ -267,12 +288,12 @@ class TestDpInternals:
         # fallback place them
         n, x = 2000, 0.3 * 2000
         for law in DP_LAWS[2:]:
-            (a, _), (b, _) = sorted(law.atoms, reverse=True)
+            (a, _), (b, _) = law.atoms
             nu, nw, q = prc._threshold_line(a, b, x)
             assert abs(nu + q - 1) + n * abs(nw) >= 1 << 63
             cases.append((law, n, x))
         for law, n, x in cases:
-            (_, pa), (_, pb) = sorted(law.atoms, reverse=True)
+            (_, pa), (_, pb) = law.atoms
             k0 = _first_absorbing_step(law, n, x)
             start = (k0, orc._binomial_pmf(k0 - 1, pa, pb).tolist())
             _assert_within_the_pass_tolerances(orc.first_passage_dp(law, n, x),
@@ -299,7 +320,7 @@ class TestDpInternals:
         # x <= a: k0 = 1, the start is [1.0], and the pass is held to the
         # whole-pass tolerances of the plain loop
         for law in DP_LAWS:
-            (_, pa), (_, pb) = sorted(law.atoms, reverse=True)
+            (_, pa), (_, pb) = law.atoms
             assert orc._binomial_pmf(0, pa, pb).tolist() == [1.0]
             for n in (1, 5, 300):
                 for x in (-1.0, 0.0):
@@ -357,7 +378,7 @@ class TestDpInternals:
         # x = 1e9: k0 = n + 1, no step runs, and the surviving masses are the
         # Binomial(n, p_a) pmf
         for law in DP_LAWS:
-            (_, pa), (_, pb) = sorted(law.atoms, reverse=True)
+            (_, pa), (_, pb) = law.atoms
             for n in (1, 40, 2000):
                 assert _first_absorbing_step(law, n, 1e9) == n + 1
                 absorbed_cum, final, defect = orc.first_passage_dp(law, n, 1e9)

@@ -8,10 +8,11 @@ probabilities" (2000):
                      - bd0(k, n p) - bd0(n - k, n q) - log(2 pi k (n - k) / n) / 2,
 
 with stirlerr(m) = log m! - log(sqrt(2 pi m) (m/e)^m) from a table for
-m <= 15 and its Stirling series above, and bd0(x, M) = x log(x/M) + M - x
-from a series in (x - M)/(x + M) near M.  No term cancels, so the error is a
-few units in the last place of each term however far k is from the mode.
-Each value comes with a bound on its rounding error.
+m <= 15 and its Stirling series above, and the deviance bd0(x, M) =
+x log(x/M) + M - x, which is Bennett's rate `bounds._rate(x - M, M)` with its
+error bound.  No term cancels, so the error is a few units in the last place
+of each term however far k is from the mode.  Each value comes with a bound
+on its rounding error.
 
 The upper tail P(X >= k) = b(k) S is its first term times the ratio series
 S = sum_j prod_{i<j} (n - k - i)/(k + 1 + i) e^theta, theta = log(p/q).  Below
@@ -22,13 +23,16 @@ coefficients do not depend on p, so `upper_tail_log_odds` builds them once
 and finds its root by Newton's method in theta, on which log P(X >= k) is
 increasing and concave.
 
-Imports only `math` at the top; numpy is imported by the one function that
-sums a window, so a module on the pure-math path can use the pmf.
+Imports `math` and `bounds` at the top; numpy is imported by the one
+function that sums a window, so a module on the pure-math path can use the
+pmf.
 """
 
 from __future__ import annotations
 
 import math
+
+from .bounds import _rate, _rate_error
 
 #: Unit roundoff of a double.
 EPS = 2.0**-53
@@ -65,44 +69,23 @@ def stirlerr(m: int) -> float:
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / mm) / mm) / mm) / mm) / m
 
 
-def _bd0(x: float, m: float) -> tuple[float, float]:
-    """bd0(x, m) = x log(x/m) + m - x >= 0 for x, m > 0, and a bound on its
-    rounding error.  Near m, |x - m| < (x + m)/10, it is the series
-    (x - m) v + 2x (v^3/3 + v^5/5 + ...), v = (x - m)/(x + m), whose terms
-    all share one sign, so the error is 16 units of the value; elsewhere the
-    closed form, whose five rounded operations each err by a unit of the
-    larger of x |log(x/m)|, x and m."""
-    if abs(x - m) < 0.1 * (x + m):
-        v = (x - m) / (x + m)
-        s = (x - m) * v
-        ej = 2.0 * x * v
-        v *= v
-        j = 1
-        while True:
-            ej *= v
-            s1 = s + ej / (2 * j + 1)
-            if s1 == s:
-                return s1, 16 * EPS * s1
-            s = s1
-            j += 1
-    lx = x * math.log(x / m)
-    return lx + m - x, 4 * EPS * (abs(lx) + x + m)
-
-
 def _log_pmf(k: int, n: int, p: float, q: float) -> tuple[float, float]:
-    """`log_pmf` and a bound on its error for 0 < k < n.  Besides the
-    rounding of each term and the truncation of the Stirling series, n p and n q carry a relative error of a few units
-    (and p + q may differ from 1 by as much); Loader's form turns that into an
-    error of a few units of |k - n p| + |n - k - n q|, since the derivative of
-    bd0(x, m) in m is 1 - x/m."""
+    """`log_pmf` and a bound on its error for 0 < k < n < 2^53.  Each bd0
+    errs by `_rate_error`, and by a unit of bd0 + |x| more from the rounding
+    of its difference x (k - n p or n - k - n q), which is exact wherever
+    |x| <= n p (or n q).  Besides the rounding of each term and the
+    truncation of the Stirling series, n p and n q carry a relative error of
+    a few units (and p + q may differ from 1 by as much); Loader's form turns
+    that into an error of a few units of |k - n p| + |n - k - n q|, since the
+    derivative of bd0(x, m) in m is 1 - x/m."""
     mp, mq = n * p, n * q
-    d1, e1 = _bd0(k, mp)
-    d2, e2 = _bd0(n - k, mq)
+    x1, x2 = k - mp, n - k - mq
+    d1, d2 = _rate(x1, mp), _rate(x2, mq)
     lc = stirlerr(n) - stirlerr(k) - stirlerr(n - k) - d1 - d2
     lk, lr = math.log(k), math.log((n - k) / n)  # not log1p(-k/n): k/n rounds near 1
     value = lc - 0.5 * (_LN_2PI + lk + lr)
-    err = e1 + e2 + EPS * (4 * (d1 + d2 + abs(k - mp) + abs(n - k - mq))
-                           + 4 * (_LN_2PI + lk + abs(lr)) + 2 * abs(value) + 8)
+    err = _rate_error(d1, x1) + _rate_error(d2, x2) + EPS * (
+        5 * (d1 + d2 + abs(x1) + abs(x2)) + 4 * (_LN_2PI + lk + abs(lr)) + 2 * abs(value) + 8)
     return value, err
 
 

@@ -13,9 +13,10 @@ h(u) = (1+u) log1p(u) - u (`_rate`):
     Bennett's independent-case bound    = -n sigma^2 h(t/sigma^2)
     Hoeffding's independent-case bound  = -n [sigma^2 h(t/sigma^2) + h(-t)] / (1+sigma^2)
 
-One cutoff, `_SERIES_CUTOFF` on |x/w|, picks the power series of h or its
-closed form, so each rate handles its own cancellation; the two nonnegative
-rates of H are then added.
+The rate is Loader's binomial deviance bd0(w + x, w), which `binomial` takes
+from `_rate` too.  Near x = 0 it is a series whose terms share one sign,
+elsewhere its closed form, with one error bound; the two nonnegative rates of
+H are then added.
 """
 
 from __future__ import annotations
@@ -88,7 +89,8 @@ class TailQuery:
         if self.v <= 0:
             raise ValueError(f"v must be > 0, got {self.v}")
         _require_square("v", self.v)
-        if int(self.n) != self.n or self.n < 1:
+        if (isinstance(self.n, float) and not math.isfinite(self.n)
+                or int(self.n) != self.n or self.n < 1):
             raise ValueError(f"n must be a positive integer, got {self.n}")
         _require_horizon(self.n)
 
@@ -151,25 +153,31 @@ def _log_add(log_a: float, *linear_terms: float) -> float:
     return out
 
 
-#: Below this |u|, h(u) = (1+u) log1p(u) - u is summed from its power series:
-#: the closed form loses about eps/|u| of relative accuracy to cancellation
-#: there (at u = 1e-2 the loss is about 1e-14).
-_SERIES_CUTOFF = 1e-2
-
-
 def _rate(x: float, w: float) -> float:
-    """w h(x/w) >= 0 for x >= -w and w > 0, with Bennett's rate
-    h(u) = (1+u) log1p(u) - u; it is +0.0 at x = 0.
+    """w h(x/w) = bd0(w + x, w) >= 0 for x >= -w and w > 0, with Bennett's rate
+    h(u) = (1+u) log1p(u) - u; it is +0.0 at x = 0, and the kernels below
+    negate it as 0.0 - rate, so the CLI prints 0 there, not -0.
 
-    The kernels below negate it as 0.0 - rate, not -rate, so their value at
-    x = 0 is +0.0, which the CLI prints as 0 (-rate would print -0).
+    For -0.18 < u = x/w < 0.22 (|v| < 0.1, v = u/(2 + u)) it is Loader's
+    series x (v + (1 + v) v^2 S), S = sum_j v^(2j)/(2j + 3) by nine Horner
+    steps in v^2 (the first term left out is below 2e-19 of S), which never
+    forms the w + x that may overflow; elsewhere (x + w) log1p(u) - x.
+
+    Error (Higham, ch. 3; eps = 2^-53, log1p within two units, barring
+    overflow and underflow): the terms of S share one sign and those of
+    v + (1 + v) v^2 S cancel by at most 4%, so the series errs by at most
+    6 eps rate.  In the closed form the rounding of u costs a unit of |x|,
+    and x + w, log1p, the product and the difference five units of its terms
+    |(x + w) log1p(u)| <= rate + |x| and rate: at most 5 eps (rate + |x|).
+    Outside the series |x| < 10.5 rate, so `_rate_error` bounds both.
     """
     u = x / w
-    if abs(u) < _SERIES_CUTOFF:
-        # w u^2 h(u)/u^2 with w u = x, and h(u)/u^2 = sum (-u)^k / ((k+1)(k+2))
-        # by Horner; the first omitted term is below 3e-18 relative
-        return x * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (
-            1 / 30 - u * (1 / 42 - u * (1 / 56 - u * (1 / 72))))))))
+    if -0.18 < u < 0.22:
+        v = u / (2.0 + u)
+        vv = v * v
+        s = 1 / 3 + vv * (1 / 5 + vv * (1 / 7 + vv * (1 / 9 + vv * (1 / 11 + vv * (
+            1 / 13 + vv * (1 / 15 + vv * (1 / 17 + vv * (1 / 19))))))))
+        return x * (v + (1.0 + v) * vv * s)
     if u > -1.0:
         return (x + w) * math.log1p(u) - x
     if x == -w:
@@ -178,6 +186,11 @@ def _rate(x: float, w: float) -> float:
     # number and w + x is taken in exact integers (in floats it is 0)
     d = w + int(x)
     return d * math.log(d / w) - x
+
+
+def _rate_error(rate: float, x: float) -> float:
+    """A bound on the rounding error of `_rate(x, w)` = rate, from its docstring."""
+    return 2.0**-53 * min(64.0 * rate, 6.0 * (rate + abs(x)))
 
 
 # Raw-log kernels of the core family on plain floats.  They assume validated
@@ -197,8 +210,10 @@ def _freedman_log(x: float, v: float) -> float:
 
 
 # Bennett's and Bernstein's logs are -x^2 / denominator.  Where x^2 or the
-# denominator overflows, which gives -inf, -0 or NaN, both are divided by x and
-# the log is taken in r = v^2 / x.
+# denominator overflows, which gives -inf, -0 or NaN, or x^2 is below _TINY, the
+# smallest normal double, which gives -0 or loses digits, both are divided by x
+# and the log is taken in r = v^2 / x.
+_TINY = sys.float_info.min
 
 
 def _bennett_log(x: float, v: float) -> float:
@@ -207,7 +222,7 @@ def _bennett_log(x: float, v: float) -> float:
     v2 = v * v
     denom = v2 * (1.0 + math.sqrt(1.0 + 2.0 * x / (3.0 * v2))) + x / 3.0
     xx = x * x
-    if xx < math.inf and denom < math.inf:
+    if _TINY <= xx < math.inf and denom < math.inf:
         return -xx / denom
     r = v2 / x
     return -x / (r + math.sqrt(r) * math.sqrt(r + 2.0 / 3.0) + 1.0 / 3.0)
@@ -215,7 +230,7 @@ def _bennett_log(x: float, v: float) -> float:
 
 def _bernstein_log(x: float, v: float) -> float:
     xx, denom = x * x, 2.0 * (v * v + x / 3.0)
-    if xx < math.inf and denom < math.inf or x == 0:  # x = 0 gives -0 whatever denom is
+    if _TINY <= xx < math.inf and denom < math.inf or x == 0:  # x = 0 gives -0 whatever denom is
         return -xx / denom
     return -x / (2.0 * (v * v / x) + 2.0 / 3.0)
 

@@ -7,6 +7,7 @@ displayed formulas (mpmath); trivial ones are asserted directly.
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,9 @@ class TestTailQueryAndLogProb:
             bnd.TailQuery(1.0, 1.0, 0)
         with pytest.raises(ValueError):
             bnd.TailQuery(math.nan, 1.0, 2)
+        for n in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^n must be a positive integer"):
+                bnd.TailQuery(1.0, 1.0, n)
         # v^2 underflows to 0 or overflows, and the bounds divide by it; the
         # truncation bounds rescale v by the level y first
         for v in (1e-170, 1e170):
@@ -281,9 +285,9 @@ class TestCancellationRegime:
 
     REL = 1e-12
     EXPONENTS = range(-16, 2)
-    #: ratios on both sides of the series cutoff, and next to u = -1 for x/n
-    AT_CUTOFF = (bnd._SERIES_CUTOFF * (1 - 2.0**-52), bnd._SERIES_CUTOFF,
-                 bnd._SERIES_CUTOFF * (1 + 2.0**-52))
+    #: ratios on both sides of the series' switch points, at u = -0.18 (taken
+    #: as x/n) and u = 0.22 (taken as x/v^2), and next to u = -1 for x/n
+    AT_CUTOFF = tuple(c * f for c in (0.18, 0.22) for f in (1 - 2.0**-52, 1.0, 1 + 2.0**-52))
     NEAR_ONE = (0.9, 0.999, 1 - 2.0**-40)
 
     @staticmethod
@@ -312,6 +316,37 @@ class TestCancellationRegime:
                     want = float(log_f(x, v))
                     assert bnd.freedman(x, v).log_value == pytest.approx(
                         want, rel=self.REL, abs=0), (x, v)
+
+    def test_rate_against_50_digits(self):
+        # w h(x/w) on 2*10^4 log-uniform (x, w) of both signs, at and a few
+        # ulps from both switch points, and next to x/w = -1, within 32 units
+        # and within `_rate_error`; in the series, within its 6 units
+        mpmath = pytest.importorskip("mpmath")
+        eps = 2.0**-53
+        rng = random.Random(37)
+        points = [(-2.0**53, 2**53 + 1), (-2.0**60, 2**60 + 3)]  # x/w rounds to -1
+        while len(points) < 20000:
+            w = 10.0 ** rng.uniform(-150.0, 150.0)
+            kind = rng.random()
+            if kind < 0.1:
+                u = rng.choice((-0.18, 0.22)) * (1 + rng.randint(-8, 8) * 2.0**-52)
+            elif kind < 0.15:
+                u = -(1 - rng.randint(1, 2**20) * 2.0**-53)
+            elif kind < 0.6:
+                u = 10.0 ** rng.uniform(-16.0, 4.0)
+            else:
+                u = -(10.0 ** rng.uniform(-16.0, 0.0))
+            if u * w >= -w:
+                points.append((u * w, w))
+        with mpmath.workdps(50):
+            for x, w in points:
+                mx, mw = mpmath.mpf(x), mpmath.mpf(w)
+                want = float((mx + mw) * mpmath.log1p(mx / mw) - mx)
+                got = bnd._rate(x, w)
+                assert abs(got - want) <= 32 * eps * want, (x, w)
+                assert abs(got - want) <= bnd._rate_error(want, x), (x, w)
+                if -0.18 < x / w < 0.22:
+                    assert abs(got - want) <= 6 * eps * want, (x, w)
 
     def test_freedman_at_the_known_cell(self):
         # the closed form returned 0.0 here; the reference is -9.34e-29
@@ -430,6 +465,8 @@ class TestLargeArguments:
             bernstein_denom = 2.0 * (v * v + x / 3.0)
             if max(x * x, bennett_denom, bernstein_denom) == math.inf:
                 continue
+            if x * x < sys.float_info.min:  # x^2 is subnormal or 0: the r forms answer
+                continue
             assert bnd._bennett_log(x, v).hex() == (-x * x / bennett_denom).hex()
             assert bnd._bernstein_log(x, v).hex() == (-x * x / bernstein_denom).hex()
             checked += 1
@@ -443,6 +480,8 @@ class TestLargeArguments:
         (1e10, 1e-150),   # only 2x / (3v^2) overflows (-0 before)
         (1e308, 1e150),   # 2x overflows as well
         (1.0, 1e-160),    # v^2 is subnormal
+        (1e-200, 1e-160),  # x^2 underflows to 0 (-0 before)
+        (1e-160, 1e-100),  # x^2 is subnormal (digits lost before)
     ])
     def test_overflowing_kernels_against_50_digits(self, x, v):
         mpmath = pytest.importorskip("mpmath")
@@ -450,8 +489,9 @@ class TestLargeArguments:
             mx, mv2 = mpmath.mpf(x), mpmath.mpf(v) ** 2
             want_bennett = -mx**2 / (mv2 * (1 + mpmath.sqrt(1 + 2 * mx / (3 * mv2))) + mx / 3)
             want_bernstein = -mx**2 / (2 * (mv2 + mx / 3))
-            assert bnd._bennett_log(x, v) == pytest.approx(float(want_bennett), rel=1e-14)
-            assert bnd._bernstein_log(x, v) == pytest.approx(float(want_bernstein), rel=1e-14)
+            assert bnd._bennett_log(x, v) == pytest.approx(float(want_bennett), rel=1e-14, abs=0)
+            assert bnd._bernstein_log(x, v) == pytest.approx(float(want_bernstein), rel=1e-14,
+                                                             abs=0)
         assert bnd._bennett_log(x, v) <= bnd._bernstein_log(x, v) < 0.0
 
     def test_the_relative_allowance_of_an_edge(self):

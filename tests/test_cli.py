@@ -629,13 +629,13 @@ def test_no_command_imports_scipy(tmp_path):
 
 def test_pure_math_commands_do_not_import_numpy(tmp_path):
     # bounds and compare are closed forms over `math`; only simulate and
-    # verify import the numpy stack
+    # verify import the numpy stack or `binomial`
     code = (
         "import sys\n"
         "from smbounds import cli\n"
         "assert cli.main(['bounds', '--x', '1', '--v', '1', '--n', '2']) == 0\n"
         f"assert cli.main(['compare', '--out', {str(tmp_path / 'cmp.csv')!r}]) == 0\n"
-        "print('numpy' in sys.modules)\n"
+        "print('numpy' in sys.modules or 'smbounds.binomial' in sys.modules)\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

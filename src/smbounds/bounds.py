@@ -17,6 +17,10 @@ The rate is Loader's binomial deviance bd0(w + x, w), which `binomial` takes
 from `_rate` too.  Near x = 0 it is a series whose terms share one sign,
 elsewhere its closed form, with one error bound; the two nonnegative rates of
 H are then added.
+
+Each bound is declared once in `_TABLE`, with its inputs, event, gate, chain
+edges and call; `CORE`, `ORDERING`, the `bounds` command and
+`suites.applicable_checks` read it (`_evaluate`).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
 __all__ = [
     "TailQuery",
@@ -280,12 +284,70 @@ def prohorov(x: float, v: float) -> LogProb:
     return LogProb.from_log(_prohorov_log(x, v))
 
 
-#: Names of the core family in chain order, the order of `core_logs`.
-CORE = ("hoeffding", "freedman", "bennett", "bernstein", "prohorov")
+@dataclass(frozen=True)
+class _Bound:
+    """One bound of `_TABLE`.  Its call reads the `bounds` command's parameters
+    and names the functions it uses, so a replaced one is the one called."""
+
+    name: str
+    needs: str  # the parameter it reads beyond (x, v, n): "", "b" or "y"
+    event: str  # "truncated", or "stopped", which at increments <= 1 holds every other event
+    gates: bool  # checks gate on it; otherwise it is only reported
+    over: tuple[str, ...]  # its chain edges: the bounds whose log is at most its own
+    call: Callable[[Mapping[str, Any]], Any]  # to a LogProb, an AzumaRefined, or None: no claim
+
+
+#: Every bound, in report order.  The core kernels are not clamped: a log above 0 is refused.
+_TABLE = (
+    _Bound("hoeffding", "", "stopped", True, (),
+           lambda a: LogProb(_hoeffding_log(a["x"], a["v"], a["n"]))),
+    _Bound("freedman", "", "stopped", True, ("hoeffding",),
+           lambda a: LogProb(_freedman_log(a["x"], a["v"]))),
+    _Bound("bennett", "", "stopped", True, ("freedman",),
+           lambda a: LogProb(_bennett_log(a["x"], a["v"]))),
+    _Bound("bernstein", "", "stopped", True, ("bennett",),
+           lambda a: LogProb(_bernstein_log(a["x"], a["v"]))),
+    _Bound("prohorov", "", "stopped", True, ("hoeffding",),
+           lambda a: LogProb(_prohorov_log(a["x"], a["v"]))),
+    _Bound("azuma_refined", "b", "stopped", True, (),
+           lambda a: azuma_refined(a["x"], a["n"], a["b"])),
+    _Bound("hoeffding_bounded", "b", "stopped", True, (),
+           lambda a: hoeffding_bounded(a["x"], a["n"], a["b"], a["supermartingale"])),
+    _Bound("fuk_nagaev_h_term", "y", "truncated", False, (),
+           lambda a: fuk_nagaev(a["x"], a["y"], a["v"], a["n"], a["p_exceed"]).h_term),
+    _Bound("fuk_nagaev", "y", "truncated", True, (),
+           lambda a: fuk_nagaev(a["x"], a["y"], a["v"], a["n"], a["p_exceed"]).total),
+    _Bound("courbot", "y", "truncated", True, (),
+           lambda a: courbot(a["x"], a["y"], a["v"], a["sum_exceed"], a["p_qc_exceed"])),
+    _Bound("haeusler", "y", "truncated", False, (),
+           lambda a: haeusler(a["x"], a["y"], a["v"]) if a["x"] > 0 else None),
+)
+
+
+def _evaluate(a: Mapping[str, Any],
+              event: Optional[str] = None) -> list[tuple[_Bound, LogProb, Optional[str]]]:
+    """The table's bounds at `a` with their branches (`azuma_refined`'s, else
+    None): without an event, each whose input `a` gives; with one, those that
+    gate its checks and whose hypotheses hold.  A bad input is refused."""
+    out = []
+    for e in _TABLE:
+        if e.needs and a.get(e.needs) is None or event is not None and not (
+                e.event == event and e.gates  # the range pair: b > 0, b <= 1 if supermartingale
+                and (e.needs != "b" or 0 < a["b"] and (a["b"] <= 1 or not a["supermartingale"]))):
+            continue
+        if not e.needs:  # a kernel takes (x, v, n) checked; truncation checks (x/y, v/y, n)
+            TailQuery(a["x"], a["v"], a["n"])
+        r = e.call(a)
+        if r is not None:
+            out.append((e, r.bound, r.branch) if isinstance(r, AzumaRefined) else (e, r, None))
+    return out
+
 
 #: Edges (lower, upper) of the ordering chain: log lower <= log upper.
-ORDERING = (("hoeffding", "freedman"), ("freedman", "bennett"),
-            ("bennett", "bernstein"), ("hoeffding", "prohorov"))
+ORDERING = tuple((lo, e.name) for e in _TABLE for lo in e.over)
+
+#: Names of the core family, the bounds on the chain, in `core_logs` order.
+CORE = tuple(e.name for e in _TABLE if any(e.name in edge for edge in ORDERING))
 
 #: Absolute round-off slack allowed on each ordering edge, in log space;
 #: `ordering_ok` also allows a relative one.
@@ -298,7 +360,7 @@ def core_logs(q: TailQuery) -> tuple[float, float, float, float, float]:
     """The core family's raw kernel log values at one query, in `CORE` order.
 
     Not clamped: a kernel that claims a probability above 1 is a defect that
-    `ordering_ok` and `core_bounds` refuse.  The kernels are looked up as
+    `ordering_ok` and the bound table refuse.  The kernels are looked up as
     module attributes at call time, so a replaced kernel is the one every
     caller evaluates.
     """
@@ -314,11 +376,6 @@ def _core_logs(x: float, v: float, n: int) -> tuple[float, float, float, float, 
     if math.isnan(sum(logs)):
         raise ValueError("log probability is NaN")
     return logs
-
-
-def core_bounds(q: TailQuery) -> list[tuple[str, LogProb]]:
-    """The core family evaluated at one query, in `CORE` order."""
-    return [(name, LogProb(lv)) for name, lv in zip(CORE, core_logs(q))]
 
 
 def ordering_ok(logs: Sequence[float]) -> bool:

@@ -192,33 +192,11 @@ def _json_text(doc: dict[str, Any]) -> str:
 
 
 def _bound_rows(p: dict[str, Any]) -> list[dict[str, Any]]:
-    x, v, n = p["x"], p["v"], p["n"]
-    q = bnd.TailQuery(x, v, n)
-    base = dict(x=x, v=v, n=n)
-    rows = [dict(base, bound_name=name, log_value=bound.log_value)
-            for name, bound in bnd.core_bounds(q)]
-    if p["b"] is not None:
-        b = p["b"]
-        az = bnd.azuma_refined(x, n, b)
-        rows.append(dict(base, b=b, bound_name="azuma_refined",
-                         log_value=az.bound.log_value, branch=az.branch))
-        ho = bnd.hoeffding_bounded(x, n, b, supermartingale=p["supermartingale"])
-        rows.append(dict(base, b=b, bound_name="hoeffding_bounded", log_value=ho.log_value))
-    if p["y"] is not None:
-        y = p["y"]
-        fn = bnd.fuk_nagaev(x, y, v, n, p["p_exceed"])
-        rows.append(dict(base, y=y, bound_name="fuk_nagaev_h_term",
-                         log_value=fn.h_term.log_value))
-        rows.append(dict(base, y=y, bound_name="fuk_nagaev", log_value=fn.total.log_value))
-        rows.append(dict(base, y=y, bound_name="courbot",
-                         log_value=bnd.courbot(x, y, v, p["sum_exceed"],
-                                               p["p_qc_exceed"]).log_value))
-        if x > 0:
-            rows.append(dict(base, y=y, bound_name="haeusler",
-                             log_value=bnd.haeusler(x, y, v).log_value))
-    for row in rows:
-        row["value"] = math.exp(row["log_value"])
-    return rows
+    """A row for each bound of the table whose input `p` gives; a range row
+    also carries b, a truncation row y."""
+    return [dict({e.needs: p[e.needs]} if e.needs else {}, x=p["x"], v=p["v"], n=p["n"],
+                 bound_name=e.name, log_value=lp.log_value, value=math.exp(lp.log_value),
+                 branch=branch) for e, lp, branch in bnd._evaluate(p)]
 
 
 def cmd_bounds(p: dict[str, Any], out: TextIO) -> int:
@@ -340,13 +318,8 @@ def cmd_simulate(p: dict[str, Any], out: TextIO) -> int:
     # the bounds refuse their arguments before any path is drawn
     bounds = suites.applicable_checks(law, spec, p["n"])
     est = mc.estimate_event(law, spec, p["n"], p["trials"], p["seed"], p["gamma"])
-    checks = []
-    flagged = False
-    for name, bound in bounds:
-        verdict = mc.verify_bound(est, bound).verdict
-        flagged = flagged or verdict == "FLAG"
-        checks.append({"bound_name": name, "log_value": bound.log_value,
-                       "value": bound.value, "verdict": verdict})
+    checks = [{"bound_name": name, "log_value": bound.log_value, "value": bound.value,
+               "verdict": mc.verify_bound(est, bound).verdict} for name, bound in bounds]
     doc = {
         "command": "simulate",
         "law": law.label(),
@@ -365,7 +338,7 @@ def cmd_simulate(p: dict[str, Any], out: TextIO) -> int:
         out.write(_csv_text([dict(base, **c) for c in checks] or [base]))
     else:
         out.write(_json_text(doc))
-    return EXIT_FAIL if flagged else EXIT_OK
+    return EXIT_FAIL if any(c["verdict"] == "FLAG" for c in checks) else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ forms, variational cross-checks, the exact-oracle corpus, and the Monte Carlo
 corpus.  The CLI `verify` command and the acceptance tests run these same
 functions, so a pass here is the artifact's health check.  The oracle and mc
 suites and `simulate` take the bounds a (law, event) pair admits from
-`applicable_checks`, and from nowhere else.
+`applicable_checks`, which derives the inputs from the law and reads the rest
+from the bound table in `bounds`.
 """
 
 from __future__ import annotations
@@ -153,17 +154,10 @@ def chain_grid() -> Iterator[bnd.TailQuery]:
 
 def suite_chain() -> SuiteReport:
     rep = SuiteReport("chain")
-    violations = 0
-    first = ""
-    count = 0
-    for q in chain_grid():
-        count += 1
-        if not bnd.ordering_ok(bnd.core_logs(q)):
-            violations += 1
-            if not first:
-                first = f"x={q.x} v={q.v} n={q.n}"
-    rep.add(f"ordering chain on {count} grid points", violations == 0,
-            f"{violations} violations" + (f", first at {first}" if first else ""))
+    queries = list(chain_grid())
+    bad = [q for q in queries if not bnd.ordering_ok(bnd.core_logs(q))]
+    rep.add(f"ordering chain on {len(queries)} grid points", not bad, f"{len(bad)} violations"
+            + (f", first at x={bad[0].x} v={bad[0].v} n={bad[0].n}" if bad else ""))
 
     geo = [float(t) for t in np.geomspace(0.1, 10.0, 25)]
     pairs = [(x, v) for v in bnd.GRID_V for x in (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)]
@@ -305,25 +299,16 @@ def oracle_corpus() -> Iterator[tuple[IncrementLaw, int, float, float]]:
 def suite_oracle() -> SuiteReport:
     rep = SuiteReport("oracle")
 
-    instances = 0
-    bound_violations = []
-    nesting_ok = True
-    mass_ok = True
-    for law, n, x, v in oracle_corpus():
-        instances += 1
-        comp = exact_vs_bound(law, n, x, v)
-        if not comp.valid:
-            bound_violations.append(f"{law.label()} n={n} x={x:g} v={v:g}")
-        res = comp.result
-        if not (res.p_final <= res.p_max + 1e-15 and res.p_max <= res.p_stopped + 1e-15):
-            nesting_ok = False
-        mass_ok = mass_ok and res.defect <= 1e-12
-    rep.add(f"exact stopped probability below every bound ({instances} instances)",
-            not bound_violations,
-            f"{len(bound_violations)} violations"
-            + (f", first: {bound_violations[0]}" if bound_violations else ""))
-    rep.add("event nesting p_final <= p_max <= p_stopped", nesting_ok)
-    rep.add("probability mass conserved by the first-passage DP", mass_ok)
+    comps = [(f"{law.label()} n={n} x={x:g} v={v:g}", exact_vs_bound(law, n, x, v))
+             for law, n, x, v in oracle_corpus()]
+    bad = [label for label, comp in comps if not comp.valid]
+    rep.add(f"exact stopped probability below every bound ({len(comps)} instances)", not bad,
+            f"{len(bad)} violations" + (f", first: {bad[0]}" if bad else ""))
+    results = [comp.result for _, comp in comps]
+    rep.add("event nesting p_final <= p_max <= p_stopped",
+            all(r.p_final <= r.p_max + 1e-15 and r.p_max <= r.p_stopped + 1e-15 for r in results))
+    rep.add("probability mass conserved by the first-passage DP",
+            all(r.defect <= 1e-12 for r in results))
 
     rng = np.random.default_rng(20240917)
     pool = _corpus_laws()
@@ -371,39 +356,24 @@ def mc_corpus() -> list[McInstance]:
     ]
 
 
-def _range_bounds(law: IncrementLaw, x: float, n: int) -> list[tuple[str, bnd.LogProb]]:
-    """The bounded-range pair for the running maximum of a finite-support law
-    on [-b_eff, 1], or [] when the law fails the range hypotheses (b_eff > 0,
-    and b_eff <= 1 for a strict supermartingale)."""
-    b_eff = -min(val for val, _ in law.atoms())
-    supermart = law.mean() < -1e-15
-    if b_eff <= 0 or (supermart and b_eff > 1.0):
-        return []
-    return [("azuma_refined", bnd.azuma_refined(x, n, b_eff).bound),
-            ("hoeffding_bounded", bnd.hoeffding_bounded(x, n, b_eff, supermartingale=supermart))]
-
-
 def applicable_checks(law: IncrementLaw, spec: EventSpec, n: int) -> list[tuple[str, bnd.LogProb]]:
-    """The bounds whose hypotheses the (law, event) pair satisfies.
-
-    Every bound needs x >= 0 and a mean <= 0 (within 1e-12).  For laws bounded
-    above by 1 every event variant sits inside the stopped event, so the full
-    family applies; bounded-below laws add the range-based pair.  Truncated
-    events get the two truncation bounds with the law's exact exceedance
-    probabilities: `fuk_nagaev` with P(some step > y), and `courbot` with
-    n P(xi > y) and an overflow term of 0, since the event already holds the
-    truncated variance budget.
-    """
-    if spec.x < 0 or law.mean() > 1e-12:
-        return []  # the bounds claim nothing below 0 or for a positive drift
-    if spec.variant is EventVariant.TRUNCATED_ANY_K:
+    """The bounds of the bound table whose hypotheses the (law, event) pair
+    meets.  Every bound needs x >= 0 and a mean <= 0 (within 1e-12), and with
+    increments <= 1 every event variant sits inside the stopped event.  The
+    law gives b = -(lower atom), a supermartingale at a mean below -1e-15, and
+    for a truncated event the exact P(some step > y) and n P(xi > y), with an
+    overflow term of 0: the event already holds the truncated variance budget."""
+    truncated = spec.variant is EventVariant.TRUNCATED_ANY_K
+    if spec.x < 0 or law.mean() > 1e-12 or not truncated and law.support_max > 1.0:
+        return []  # none below 0 or at a positive drift; past 1 only the truncated ones
+    inputs = dict(x=spec.x, v=spec.v, n=n)
+    if truncated:
         per_step, p_max = exceedance_tail(law, spec.y, n)
-        fn = bnd.fuk_nagaev(spec.x, spec.y, spec.v, n, p_max)
-        return [("fuk_nagaev", fn.total),
-                ("courbot", bnd.courbot(spec.x, spec.y, spec.v, n * per_step, 0.0))]
-    if law.support_max > 1.0:
-        return []
-    return bnd.core_bounds(bnd.TailQuery(spec.x, spec.v, n)) + _range_bounds(law, spec.x, n)
+        inputs.update(y=spec.y, p_exceed=p_max, sum_exceed=n * per_step, p_qc_exceed=0.0)
+    else:
+        inputs.update(b=-min(val for val, _ in law.atoms()), supermartingale=law.mean() < -1e-15)
+    return [(e.name, bound)
+            for e, bound, _ in bnd._evaluate(inputs, "truncated" if truncated else "stopped")]
 
 
 @dataclass(frozen=True)

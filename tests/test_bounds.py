@@ -536,21 +536,27 @@ class TestLargeArguments:
 
 class TestRegistry:
     Q = bnd.TailQuery(1.0, 1.0, 2)
+    A = dict(x=1.0, v=1.0, n=2)
 
     def test_core_family_in_chain_order(self):
-        names = [name for name, _ in bnd.core_bounds(self.Q)]
+        names = [e.name for e, _, _ in bnd._evaluate(self.A)]
         assert names == ["hoeffding", "freedman", "bennett", "bernstein", "prohorov"]
+        assert tuple(names) == bnd.CORE
         assert {n for edge in bnd.ORDERING for n in edge} == set(names)
 
     def test_core_values_are_the_named_bounds(self):
-        logs = dict(bnd.core_bounds(self.Q))
+        logs = {e.name: b for e, b, _ in bnd._evaluate(self.A)}
         assert logs["hoeffding"] == bnd.hoeffding(self.Q)
         for name in ("freedman", "bennett", "bernstein", "prohorov"):
             assert logs[name] == getattr(bnd, name)(1.0, 1.0)
+        assert [b.log_value for b in logs.values()] == list(bnd.core_logs(self.Q))
 
     def test_registry_resolves_bounds_at_call_time(self, monkeypatch):
         monkeypatch.setattr(bnd, "_bennett_log", lambda x, v: -7.0)
-        assert dict(bnd.core_bounds(self.Q))["bennett"].log_value == -7.0
+        monkeypatch.setattr(bnd, "courbot", lambda *args: bnd.LogProb(-8.0))
+        level = dict(self.A, y=2.0, p_exceed=0.0, sum_exceed=0.0, p_qc_exceed=0.0)
+        logs = {e.name: b.log_value for e, b, _ in bnd._evaluate(level)}
+        assert (logs["bennett"], logs["courbot"]) == (-7.0, -8.0)
 
     def test_ordering_ok(self):
         logs = bnd.core_logs(self.Q)
@@ -571,7 +577,7 @@ class TestRegistry:
 
     def test_all_lists_bounds_and_types_only(self):
         # bench/tracing.py wraps every function in __all__ as a bound call
-        for name in ("CORE", "ORDERING", "ORDER_SLACK", "core_bounds", "core_logs",
+        for name in ("CORE", "ORDERING", "ORDER_SLACK", "_TABLE", "_evaluate", "core_logs",
                      "ordering_ok"):
             assert name not in bnd.__all__
 

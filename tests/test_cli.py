@@ -52,6 +52,35 @@ class TestBoundsCommand:
         assert code == 0
         assert all(r["value"] == 1.0 for r in doc["bounds"])
 
+    # every bound at one query with a range and a level, in report order
+    HEADER = "x,v,n,b,y,bound_name,log_value,value,branch,p_hat,ci_low,ci_high,verdict,seed\n"
+    ROWS_AT_2 = HEADER + """\
+2,3,10,,,hoeffding,-0.22222591556314972,0.800734445526047,,,,,,
+2,3,10,,,freedman,-0.2073776500836626,0.81271267101769906,,,,,,
+2,3,10,,,bennett,-0.20714315106340503,0.81290327369000015,,,,,,
+2,3,10,,,bernstein,-0.20689655172413796,0.81310375981903771,,,,,,
+2,3,10,,,prohorov,-0.11088374830128546,0.89504279312637969,,,,,,
+2,3,10,0.5,,azuma_refined,-0.35555555555555557,0.70078401059253281,range,,,,,
+2,3,10,0.5,,hoeffding_bounded,-0.38010483055654137,0.68378972339772848,,,,,,
+2,3,10,,1.5,fuk_nagaev_h_term,-0.21006933918356852,0.81052804266892609,,,,,,
+2,3,10,,1.5,fuk_nagaev,-0.19780719149925252,0.82052804266892609,,,,,,
+2,3,10,,1.5,courbot,-0.1756207280423448,0.83893610794539719,,,,,,
+2,3,10,,1.5,haeusler,0,1,,,,,,
+"""
+    # at x = 0 haeusler claims nothing and azuma's variance branch is active
+    ROWS_AT_0 = HEADER + """\
+0,3,10,,,hoeffding,0,1,,,,,,
+0,3,10,,,freedman,0,1,,,,,,
+0,3,10,,,bennett,0,1,,,,,,
+0,3,10,,,bernstein,-0,1,,,,,,
+0,3,10,,,prohorov,-0,1,,,,,,
+0,3,10,0.5,,azuma_refined,-0,1,variance,,,,,
+0,3,10,0.5,,hoeffding_bounded,0,1,,,,,,
+0,3,10,,1.5,fuk_nagaev_h_term,0,1,,,,,,
+0,3,10,,1.5,fuk_nagaev,0,1,,,,,,
+0,3,10,,1.5,courbot,0,1,,,,,,
+"""
+
     def test_optional_families(self, capsys):
         code, out, _ = run(["bounds", "--x", "1", "--v", "1", "--n", "10",
                             "--b", "0.5", "--y", "2", "--format", "csv"], capsys)
@@ -59,6 +88,26 @@ class TestBoundsCommand:
         names = [line.split(",")[5] for line in out.strip().splitlines()[1:]]
         assert "azuma_refined" in names and "fuk_nagaev" in names
         assert "courbot" in names and "haeusler" in names
+        # the supermartingale flag only refuses b > 1, so it prints the same rows
+        for x, expected in (("2", self.ROWS_AT_2), ("0", self.ROWS_AT_0)):
+            for flag in ([], ["--supermartingale"]):
+                code, out, _ = run(["bounds", "--x", x, "--v", "3", "--n", "10", "--b", "0.5",
+                                    "--y", "1.5", "--p-exceed", "0.01", "--sum-exceed", "0.02",
+                                    "--p-qc-exceed", "0.001", "--format", "csv", *flag], capsys)
+                assert (code, out) == (0, expected)
+            rows = [dict(zip(cli.CSV_COLUMNS, line.split(","))) for line in out.splitlines()[1:]]
+            assert [row["bound_name"] for row in rows] == [
+                "hoeffding", "freedman", "bennett", "bernstein", "prohorov", "azuma_refined",
+                "hoeffding_bounded", "fuk_nagaev_h_term", "fuk_nagaev", "courbot",
+            ] + (["haeusler"] if x == "2" else [])
+            for row in rows:
+                name = row["bound_name"]
+                in_range = name in ("azuma_refined", "hoeffding_bounded")
+                truncation = name.startswith(("fuk_nagaev", "courbot", "haeusler"))
+                assert row["b"] == ("0.5" if in_range else "")
+                assert row["y"] == ("1.5" if truncation else "")
+                branch = "range" if x == "2" else "variance"
+                assert row["branch"] == (branch if name == "azuma_refined" else "")
 
     def test_missing_required_is_usage_error(self, capsys):
         code, _, err = run(["bounds", "--x", "1", "--v", "1"], capsys)
@@ -129,10 +178,10 @@ class TestCompareCommand:
         assert code == 1
         assert "[chain] FAIL ordering chain" in out
 
-    def test_rows_match_the_dict_rows_of_core_bounds(self, tmp_path, capsys):
+    def test_rows_match_the_dict_rows_of_the_bound_table(self, tmp_path, capsys):
         # compare writes a point's five CSV rows with one template, its x cells
         # once per block and its v,n cells once per v; the bytes must equal
-        # _csv_text over dict rows built from core_bounds at queries made here
+        # _csv_text over dict rows built from the bound table at queries made here
         # in (n, v, x) order: at x = 0 (the -0 bernstein and prohorov cells),
         # x = n, x > n (-inf and 0), x/n rounding to 1 (n > 2^53) and tiny
         # x/v^2, with two n and three v so the shared cells are reused.  The
@@ -153,12 +202,12 @@ class TestCompareCommand:
         for grid_args, queries in (([f"--grid={grid}"], file_queries), ([], default_queries)):
             rows, failures = [], 0
             for q in queries:
-                pairs = bnd.core_bounds(q)
-                ok = bnd.ordering_ok([b.log_value for _, b in pairs])
+                pairs = bnd._evaluate(dict(x=q.x, v=q.v, n=q.n))
+                ok = bnd.ordering_ok([b.log_value for _, b, _ in pairs])
                 failures += not ok
-                rows += [dict(x=q.x, v=q.v, n=q.n, bound_name=name, log_value=b.log_value,
+                rows += [dict(x=q.x, v=q.v, n=q.n, bound_name=e.name, log_value=b.log_value,
                               value=math.exp(b.log_value), verdict="PASS" if ok else "FAIL")
-                         for name, b in pairs]
+                         for e, b, _ in pairs]
             if grid_args:
                 cells = {(r["bound_name"], cli.fmt(r["log_value"])) for r in rows}
                 assert {("bernstein", "-0"), ("prohorov", "-0"), ("hoeffding", "-inf")} <= cells

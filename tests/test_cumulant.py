@@ -70,7 +70,8 @@ class TestCumulantBounds:
     def test_linear_bound_small_lambda_precision(self):
         lam = 1e-8
         got = cml.cumulant_bound_linear(lam, 1.0)
-        assert got == pytest.approx(lam * lam / 2.0, rel=1e-6)
+        # abs=0: the default abs of 1e-12 would accept any value near 5e-17
+        assert got == pytest.approx(lam * lam / 2.0, rel=1e-6, abs=0)
 
     def test_quadratic_bound_values(self):
         assert cml.cgf_quadratic_bound(0.0, 1.0) == 0.0

@@ -12,12 +12,12 @@ MODULES = ("bounds", "cumulant", "montecarlo", "oracle", "processes", "suites")
 
 def _references():
     """Names that code in the package, outside `__init__.py`, loads or reads as
-    an attribute, and the entries of the `bounds.CORE` registry, which names
-    the core bounds by string.  No other string counts, so a message or
+    an attribute, and the names of the `bounds._TABLE` entries, which declare
+    each bound once and name it by string.  No other string counts, so a message or
     docstring that spells a public name does not use it.  Definitions and
     imports are not loads, and the `__all__` lists are skipped, so listing a
     name is not using it."""
-    seen = set(bounds.CORE)
+    seen = {entry.name for entry in bounds._TABLE}
     for path in Path(smbounds.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
             continue

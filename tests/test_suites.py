@@ -116,3 +116,50 @@ def test_suite_mc_takes_every_bound_from_applicable_checks(monkeypatch):
     assert len(labels) == len(want)
     for label, (prefix, name) in zip(labels, want):
         assert label.startswith(prefix) and label.endswith(f" vs {name}")
+
+
+# laws that admit: every bound for the stopped event, the range pair at b > 1
+# only for a martingale, nothing on an unbounded law's stopped event, and
+# nothing at a positive mean
+TABLE_LAWS = [TwoPointBounded(0.5), TwoPointBounded(1.5), DriftedTwoPoint(0.5, 0.25),
+              DriftedTwoPoint(1.0, 0.5), CenteredExponential(), DRIFTING_UP]
+
+
+@pytest.mark.parametrize("needs, event, gates, admitted", [
+    ("", "stopped", True, [True, True, True, True, False, False]),
+    ("b", "stopped", True, [True, True, True, False, False, False]),
+    ("b", "stopped", False, [False] * 6),
+    ("y", "truncated", True, [True, True, True, True, True, False]),
+])
+def test_a_table_entry_reaches_every_reader(monkeypatch, capsys, needs, event, gates, admitted):
+    # one entry added to the table, with no other edit, is reported by the
+    # bounds command, checked for exactly the laws its needs admit, and gates
+    # the oracle suite; its bound, e^(-100 x), is below every exact probability
+    from smbounds import cli
+
+    dummy = bnd._Bound("dummy", needs, event, gates, (), lambda a: bnd.LogProb(-100.0 * a["x"]))
+    monkeypatch.setattr(bnd, "_TABLE", bnd._TABLE + (dummy,))
+
+    assert cli.main(["bounds", "--x", "1", "--v", "1", "--n", "10", "--b", "0.5", "--y", "2",
+                     "--format", "csv"]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[:6] == ["1", "1", "10", "0.5" if needs == "b" else "", "2" if needs == "y" else "",
+                       "dummy"]
+    assert float(row[6]) == -100.0
+    assert cli.main(["bounds", "--x", "1", "--v", "1", "--n", "10", "--format", "csv"]) == 0
+    assert ("dummy" in capsys.readouterr().out) is (needs == "")
+
+    truncated = event == "truncated"
+    variant = EventVariant.TRUNCATED_ANY_K if truncated else EventVariant.STOPPED_ANY_K
+    assert ["dummy" in names(law, variant=variant, y=0.5 if truncated else None)
+            for law in TABLE_LAWS] == admitted
+    other = EventVariant.STOPPED_ANY_K if truncated else EventVariant.TRUNCATED_ANY_K
+    assert not any("dummy" in names(law, variant=other, y=None if truncated else 0.5)
+                   for law in TABLE_LAWS)
+
+    comp = suites.exact_vs_bound(TwoPointBounded(0.5), 10, 1.0, 3.0)
+    gated = admitted[0] and not truncated
+    assert ("dummy" in comp.bound_values) is gated
+    assert comp.valid is not gated
+    if gated:
+        assert not suites.suite_oracle().checks[0].passed

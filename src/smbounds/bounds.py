@@ -19,8 +19,12 @@ elsewhere its closed form, with one error bound; the two nonnegative rates of
 H are then added.
 
 Each bound is declared once in `_TABLE`, with its inputs, event, gate, chain
-edges and call; `CORE`, `ORDERING`, the `bounds` command and
-`suites.applicable_checks` read it (`_evaluate`).
+edges and call, and a bound on the chain with its log's error bound in units
+of 2^-53 |log|; `CORE`, `ORDERING`, the `bounds` command and
+`suites.applicable_checks` read it (`_evaluate`).  An edge of the chain holds
+where the lower log is at most the upper one plus both logs' error radii
+(`_edge_holds`, which derives the units), so an inversion that round-off can
+explain is no violation.
 """
 
 from __future__ import annotations
@@ -165,15 +169,18 @@ def _rate(x: float, w: float) -> float:
     For -0.18 < u = x/w < 0.22 (|v| < 0.1, v = u/(2 + u)) it is Loader's
     series x (v + (1 + v) v^2 S), S = sum_j v^(2j)/(2j + 3) by nine Horner
     steps in v^2 (the first term left out is below 2e-19 of S), which never
-    forms the w + x that may overflow; elsewhere (x + w) log1p(u) - x.
+    forms the w + x that may overflow; elsewhere (x + w) log1p(u) - x, and
+    x (log x - log w - 1) where u overflows.
 
-    Error (Higham, ch. 3; eps = 2^-53, log1p within two units, barring
-    overflow and underflow): the terms of S share one sign and those of
-    v + (1 + v) v^2 S cancel by at most 4%, so the series errs by at most
+    Error (Higham, ch. 3; eps = 2^-53, log and log1p within two units,
+    barring overflow and underflow): the terms of S share one sign and those
+    of v + (1 + v) v^2 S cancel by at most 4%, so the series errs by at most
     6 eps rate.  In the closed form the rounding of u costs a unit of |x|,
     and x + w, log1p, the product and the difference five units of its terms
     |(x + w) log1p(u)| <= rate + |x| and rate: at most 5 eps (rate + |x|).
-    Outside the series |x| < 10.5 rate, so `_rate_error` bounds both.
+    Where u overflows, L = log x - log w > 709 errs by 3.2 units of L, since
+    |log x| + |log w| <= 1.1 L, and L - 1 and the product add two: 5.2 eps
+    rate.  Outside the series |x| < 10.5 rate, so `_rate_error` bounds all.
     """
     u = x / w
     if -0.18 < u < 0.22:
@@ -182,6 +189,9 @@ def _rate(x: float, w: float) -> float:
         s = 1 / 3 + vv * (1 / 5 + vv * (1 / 7 + vv * (1 / 9 + vv * (1 / 11 + vv * (
             1 / 13 + vv * (1 / 15 + vv * (1 / 17 + vv * (1 / 19))))))))
         return x * (v + (1.0 + v) * vv * s)
+    if u == math.inf:
+        # x/w overflows: log1p(u) = log x - log w, and w is below 2^-1024 x
+        return x * (math.log(x) - math.log(w) - 1.0)
     if u > -1.0:
         return (x + w) * math.log1p(u) - x
     if x == -w:
@@ -206,7 +216,10 @@ def _hoeffding_log(x: float, v: float, n: int) -> float:
     if x > n:
         return -math.inf
     v2 = v * v
-    return n / (n + v2) * (0.0 - (_rate(x, v2) + _rate(-x, n)))
+    total = n + v2
+    # where n + v^2 overflows, both are above 2^970 and halve exactly
+    q = n / total if total < math.inf else 0.5 * n / (0.5 * n + 0.5 * v2)
+    return q * (0.0 - (_rate(x, v2) + _rate(-x, n)))
 
 
 def _freedman_log(x: float, v: float) -> float:
@@ -240,7 +253,9 @@ def _bernstein_log(x: float, v: float) -> float:
 
 
 def _prohorov_log(x: float, v: float) -> float:
-    return -0.5 * x * math.asinh(x / (2.0 * v * v))
+    t = x / (v * v) * 0.5  # not x / (2 v^2): 2 v^2 overflows for v^2 >= 2^1023
+    # where t overflows, asinh(t) = log 2t = log x - log v^2 to double precision
+    return -0.5 * x * (math.asinh(t) if t < math.inf else math.log(x) - math.log(v * v))
 
 
 def _require_pair(x: float, v: float) -> None:
@@ -295,20 +310,21 @@ class _Bound:
     gates: bool  # checks gate on it; otherwise it is only reported
     over: tuple[str, ...]  # its chain edges: the bounds whose log is at most its own
     call: Callable[[Mapping[str, Any]], Any]  # to a LogProb, an AzumaRefined, or None: no claim
+    units: Optional[float] = None  # on the chain: its log's error in 2^-53 |log| (`_edge_holds`)
 
 
 #: Every bound, in report order.  The core kernels are not clamped: a log above 0 is refused.
 _TABLE = (
     _Bound("hoeffding", "", "stopped", True, (),
-           lambda a: LogProb(_hoeffding_log(a["x"], a["v"], a["n"]))),
+           lambda a: LogProb(_hoeffding_log(a["x"], a["v"], a["n"])), units=106),
     _Bound("freedman", "", "stopped", True, ("hoeffding",),
-           lambda a: LogProb(_freedman_log(a["x"], a["v"]))),
+           lambda a: LogProb(_freedman_log(a["x"], a["v"])), units=64),
     _Bound("bennett", "", "stopped", True, ("freedman",),
-           lambda a: LogProb(_bennett_log(a["x"], a["v"]))),
+           lambda a: LogProb(_bennett_log(a["x"], a["v"])), units=8),
     _Bound("bernstein", "", "stopped", True, ("bennett",),
-           lambda a: LogProb(_bernstein_log(a["x"], a["v"]))),
+           lambda a: LogProb(_bernstein_log(a["x"], a["v"])), units=5),
     _Bound("prohorov", "", "stopped", True, ("hoeffding",),
-           lambda a: LogProb(_prohorov_log(a["x"], a["v"]))),
+           lambda a: LogProb(_prohorov_log(a["x"], a["v"])), units=5),
     _Bound("azuma_refined", "b", "stopped", True, (),
            lambda a: azuma_refined(a["x"], a["n"], a["b"])),
     _Bound("hoeffding_bounded", "b", "stopped", True, (),
@@ -349,11 +365,12 @@ ORDERING = tuple((lo, e.name) for e in _TABLE for lo in e.over)
 #: Names of the core family, the bounds on the chain, in `core_logs` order.
 CORE = tuple(e.name for e in _TABLE if any(e.name in edge for edge in ORDERING))
 
-#: Absolute round-off slack allowed on each ordering edge, in log space;
-#: `ordering_ok` also allows a relative one.
-ORDER_SLACK = 1e-10
+#: Each core log's error bound per unit of |log|: its table units times 2^-53.
+_LOG_ERROR = {e.name: e.units * 2.0**-53 for e in _TABLE if e.name in CORE}
 
-_ORDER_INDEX = tuple((CORE.index(lo), CORE.index(hi)) for lo, hi in ORDERING)
+#: The edges as (lower index, upper index, lower error, upper error).
+_ORDER_INDEX = tuple((CORE.index(lo), CORE.index(hi), _LOG_ERROR[lo], _LOG_ERROR[hi])
+                     for lo, hi in ORDERING)
 
 
 def core_logs(q: TailQuery) -> tuple[float, float, float, float, float]:
@@ -378,17 +395,46 @@ def _core_logs(x: float, v: float, n: int) -> tuple[float, float, float, float, 
     return logs
 
 
+def _edge_holds(lo: float, hi: float, e_lo: float, e_hi: float) -> bool:
+    """The rule of a chain edge: log lo <= log hi, or else lo exceeds hi by
+    no more than both logs' error radii, e |log| + 2^-1022 each.  A NaN
+    breaks it, and so does a finite lo above an hi of -inf.
+
+    A radius bounds |computed - exact|, the exact bound taken at the query's
+    x and n and at the rounded w = v*v, which all five kernels share; the
+    exact logs keep the chain at any w, so an inversion within the two radii
+    is round-off.  e is the table's units times eps = 2^-53, counted to first
+    order from the code (Higham, ch. 3; sqrt correctly rounded, log, log1p
+    and asinh within two units) and rounded up:
+    - freedman, 64: 0 - rate, which errs by at most `_rate_error` <= 64 eps
+      rate.
+    - hoeffding, 106: each rate 64; where n > 2^53 is no double, n rounds in
+      x/n and x + n, which moves n h(-x/n) by |log1p(-x/n) + x/n| <= 36.5
+      units of it (1 - x/n > 2^-54 outside `_rate`'s exact branch); the sum
+      1, n/(n + w) 3 and the product 1: 105.5.
+    - bennett, 8: 2x/(3w) 2, 1 + that 3, its sqrt 2.5, 1 + sqrt 3.5, times
+      w 4.5, + x/3 5.5, and x^2 and the quotient 2 more: 7.5.  The r form:
+      r 1, sqrt(r) 1.5, r + 2/3 2 and its sqrt 2, their product 4.5, the
+      two sums 6.5 and the quotient 7.5.
+    - bernstein, 5: x^2 1, w + x/3 2 and the quotient 1: 4; the r form 3.
+    - prohorov, 5: t 1, asinh 2 more, the product 1: 4; where t overflows,
+      log x - log w 3.2 (|log x| + |log w| <= 1.1 of it) and the product 1.
+    The absolute 2^-1022, the smallest normal double, covers what falls
+    below the normal doubles: a rounding there costs 2^-1075, scaled by at
+    most 9 on its way to a log, and where 2 v^2/x overflows Bennett's and
+    Bernstein's r forms give -0 for a log above -2^-1022.
+    """
+    return lo <= hi or lo <= hi + (e_lo * abs(lo) + e_hi * abs(hi) + 2.0 * _TINY)
+
+
 def ordering_ok(logs: Sequence[float]) -> bool:
     """Whether core log values in `CORE` order are all <= 0 (probabilities)
-    and satisfy every `ORDERING` edge: log lower <= log upper within
-    ORDER_SLACK, or else within 16 * 2^-53 * |log upper|, since a log of size
-    L rounds by about L 2^-53.  A NaN breaks an edge, and so does a finite
-    lower log above a -inf upper one."""
-    for lo, hi in _ORDER_INDEX:
-        if not logs[lo] <= logs[hi] + ORDER_SLACK:
-            # at a -inf upper log the allowance is -inf + inf, a NaN
-            if not logs[lo] <= logs[hi] + 2.0**-49 * abs(logs[hi]):
-                return False
+    and hold every `ORDERING` edge by `_edge_holds`: log lower <= log upper
+    within the two logs' derived round-off radii."""
+    for i, j, e_i, e_j in _ORDER_INDEX:
+        # an edge that holds outright, as most do, costs no call
+        if not (logs[i] <= logs[j] or _edge_holds(logs[i], logs[j], e_i, e_j)):
+            return False
     return max(logs) <= 0.0
 
 

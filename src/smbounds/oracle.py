@@ -327,7 +327,8 @@ def exact_event_probability(
     return ExactResult(p_stopped, p_stopped, _clamp01(_final_tail(law, n, x)), n, x, v, defect)
 
 
-#: Absolute slack when comparing an exact probability against a bound; covers
-#: the DP accumulation round-off (<= n * |atoms| * 1e-15).
+#: Absolute slack when comparing an exact probability against a bound, sized
+#: for the oracle suite's horizons (n <= 25); it is no proven bound on the
+#: pass's round-off, which grows with n.
 COMPARISON_SLACK = 1e-12
 

@@ -54,7 +54,8 @@ def make_generator(seed: int, stream: int = 0) -> np.random.Generator:
 class TwoPoint:
     """Law on an upper atom `hi` with probability `p_hi` and a lower atom `lo`
     with probability `p_lo`; `name` is its CLI label.  Build it with
-    `TwoPointExtremal`, `TwoPointBounded` or `DriftedTwoPoint`."""
+    `TwoPointExtremal`, `TwoPointBounded` or `DriftedTwoPoint`, whose
+    probabilities sum to exactly 1; a pair passed here is kept as it is."""
 
     hi: float
     lo: float
@@ -134,7 +135,12 @@ def DriftedTwoPoint(b: float, delta: float) -> TwoPoint:
     _require_positive("b", b)
     if not (math.isfinite(delta) and 0 <= delta <= b):
         raise ValueError(f"delta must be in [0, b], got delta={delta}, b={b}")
-    return TwoPoint(1.0 - delta, -b - delta, b / (1.0 + b), 1.0 / (1.0 + b),
+    p_hi, p_lo = b / (1.0 + b), 1.0 / (1.0 + b)
+    # 1 - the larger, which is at least 1/2, is exact (Sterbenz), so the pair
+    # sums to exactly 1; not where the larger rounds to 1 and that would be 0
+    if max(p_hi, p_lo) < 1.0:
+        p_hi, p_lo = (p_hi, 1.0 - p_hi) if p_hi >= p_lo else (1.0 - p_lo, p_lo)
+    return TwoPoint(1.0 - delta, -b - delta, p_hi, p_lo,
                     f"drifted:{_param_text(b)},{_param_text(delta)}")
 
 

@@ -162,9 +162,10 @@ def suite_chain() -> SuiteReport:
     geo = [float(t) for t in np.geomspace(0.1, 10.0, 25)]
     pairs = [(x, v) for v in bnd.GRID_V for x in (0.0, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0)]
     mono_ok = True
+    e = bnd._LOG_ERROR["hoeffding"]
     for x, v in pairs + [(x, v) for x in geo for v in geo]:
         logs = [bnd.hoeffding(bnd.TailQuery(x, v, n)).log_value for n in bnd.GRID_N]
-        mono_ok = mono_ok and all(hi >= lo - bnd.ORDER_SLACK for lo, hi in zip(logs, logs[1:]))
+        mono_ok = mono_ok and all(bnd._edge_holds(lo, hi, e, e) for lo, hi in zip(logs, logs[1:]))
     rep.add("bound nondecreasing in the horizon n", mono_ok)
 
     limit_ok = True

@@ -9,6 +9,7 @@ import random
 import re
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -439,6 +440,70 @@ def _log_uniform_queries(seed, count):
     return queries
 
 
+def _moderate_queries(seed, count):
+    """`count` queries log-uniform in x from 1e-8 to 1e12, in v from 1e-6 to
+    1e10 and in n from x to 10^4 x (at least 1)."""
+    rng = random.Random(seed)
+    queries = []
+    for _ in range(count):
+        x = 10.0 ** rng.uniform(-8.0, 12.0)
+        n = max(1, round(x * 10.0 ** rng.uniform(0.0, 4.0)))
+        queries.append(bnd.TailQuery(x, 10.0 ** rng.uniform(-6.0, 10.0), n))
+    return queries
+
+
+def _exact_core_logs(queries):
+    """The core logs of each query in `CORE` order, in numpy's long double,
+    exact to a few units of 2^-64 where it has a 64-bit significand.  They
+    are taken at the query's x and n and at the rounded w = v*v, in forms
+    that do not cancel: w h(x/w) as its series in u = x/w for |u| < 1/2,
+    where its closed form would, and n - x exact, not rounded from n."""
+    ld = np.longdouble
+    x = np.array([q.x for q in queries], dtype=ld)
+    w = np.array([q.v * q.v for q in queries], dtype=ld)
+    n = np.array([str(q.n) for q in queries]).astype(ld)
+    # a float x >= 2^53 is a whole number; below it n < 2^63 is exact
+    gap = np.array([str(q.n - int(q.x)) if q.x >= 2**53 else "0" for q in queries]).astype(ld)
+    gap = np.where(x >= 2**53, gap, n - x)
+
+    def rate(x, w, d):  # w h(x/w), with d = x + w
+        u = x / w
+        small = abs(u) < 0.5
+        us, s = np.where(small, u, 0), np.zeros_like(u)
+        for k in range(64, 0, -1):  # h(u) = u^2 sum_k (-u)^(k-1) / (k (k + 1))
+            s = ld(1) / (k * (k + 1)) - us * s
+        return np.where(small, x * us * s, d * np.log(d / w) - x)
+
+    with np.errstate(all="ignore"):
+        log_f = -rate(x, w, x + w)
+        rate_n = np.where(gap == 0, n, rate(-x, n, gap))
+        log_h = np.where([q.x > q.n for q in queries], -np.inf, n / (n + w) * (log_f - rate_n))
+        return np.stack([log_h, log_f,
+                         -x * x / (w * (1 + np.sqrt(1 + 2 * x / (3 * w))) + x / 3),
+                         -x * x / (2 * (w + x / 3)),
+                         -x / 2 * np.arcsinh(x / (2 * w))], axis=1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="long double has no 64-bit significand")
+def test_kernels_within_their_radii():
+    # 4*10^4 queries over the log-uniform range of the chain test below and
+    # over x 1e-8..1e12, v 1e-6..1e10: each kernel within its radius
+    # e |log| + 2^-1022, and each e within 10x of its worst error
+    queries = _log_uniform_queries(38, 20000) + _moderate_queries(39, 20000)
+    got = np.array([bnd.core_logs(q) for q in queries])
+    want = _exact_core_logs(queries)
+    with np.errstate(all="ignore"):
+        # -inf is no error where the exact log rounds to it: x > n, or below -2^1024
+        err = np.where(np.isinf(got) & (got == want.astype(float)), 0,
+                       abs(got.astype(np.longdouble) - want))
+    e = np.array([bnd._LOG_ERROR[name] for name in bnd.CORE])
+    within = err <= e * abs(got) + sys.float_info.min
+    assert within.all(), [(queries[i], bnd.CORE[k]) for i, k in zip(*np.nonzero(~within))][:5]
+    scale = np.where((2.0**-1000 <= abs(got)) & (abs(got) < np.inf), abs(got), np.inf)
+    worst = (err / scale).max(axis=0)
+    assert (10 * worst >= e).all(), dict(zip(bnd.CORE, worst / 2.0**-53))
+
+
 class TestLargeArguments:
     """Overflow in Bennett's and Bernstein's kernels, the rounding of large
     logs on the ordering chain, and horizons past the doubles."""
@@ -447,8 +512,8 @@ class TestLargeArguments:
     HUGE_N = (2**1024, 2**1024 - 2**970, 10**400)
 
     def test_valid_queries_are_answered_and_ordered(self):
-        # the kernels raise nothing (no NaN) and the chain holds with its
-        # absolute and relative allowances on every query
+        # the kernels raise nothing (no NaN) and the chain holds within its
+        # derived radii on every query
         for q in _log_uniform_queries(35, 20000):
             assert bnd.ordering_ok(bnd.core_logs(q)), q
 
@@ -477,39 +542,68 @@ class TestLargeArguments:
     @pytest.mark.parametrize("x, v", [
         (1e200, 1e-60),   # x^2 and Bennett's denominator overflow (NaN before)
         (1e155, 1e60),    # only x^2 overflows (-inf before)
-        (1e10, 1e-150),   # only 2x / (3v^2) overflows (-0 before)
+        (1e10, 1e-150),   # 2x / (3v^2) and x/v^2 overflow (-0, and -inf for F, before)
         (1e308, 1e150),   # 2x overflows as well
+        (1e300, 1e-10),   # x/v^2 overflows: F, H and Prohorov gave -inf
+        (9.04e48, 1.31e-156),  # x/v^2 overflows at a subnormal v^2
+        (1e100, 1e154),   # 2v^2 overflows: Prohorov gave -0
+        (1e307, 1.3e154),  # n + v^2 overflows at n = 10x: H gave -0
         (1.0, 1e-160),    # v^2 is subnormal
         (1e-200, 1e-160),  # x^2 underflows to 0 (-0 before)
         (1e-160, 1e-100),  # x^2 is subnormal (digits lost before)
     ])
     def test_overflowing_kernels_against_50_digits(self, x, v):
+        # every kernel within its radius, against closed forms at the rounded
+        # v^2, H at two horizons; the references keep 50 digits and more, as
+        # 1300 working digits outlast the cancellation of F's closed form,
+        # which loses 416 at x/v^2 = 1e-208
         mpmath = pytest.importorskip("mpmath")
-        with mpmath.workdps(50):
-            mx, mv2 = mpmath.mpf(x), mpmath.mpf(v) ** 2
-            want_bennett = -mx**2 / (mv2 * (1 + mpmath.sqrt(1 + 2 * mx / (3 * mv2))) + mx / 3)
-            want_bernstein = -mx**2 / (2 * (mv2 + mx / 3))
-            assert bnd._bennett_log(x, v) == pytest.approx(float(want_bennett), rel=1e-14, abs=0)
-            assert bnd._bernstein_log(x, v) == pytest.approx(float(want_bernstein), rel=1e-14,
-                                                             abs=0)
+        with mpmath.workdps(1300):
+            mx, mv2 = mpmath.mpf(x), mpmath.mpf(v * v)
+            log_f = mx - (mx + mv2) * mpmath.log1p(mx / mv2)
+            want = {"freedman": log_f,
+                    "bennett": -mx**2 / (mv2 * (1 + mpmath.sqrt(1 + 2 * mx / (3 * mv2))) + mx / 3),
+                    "bernstein": -mx**2 / (2 * (mv2 + mx / 3)),
+                    "prohorov": -mx / 2 * mpmath.asinh(mx / (2 * mv2))}
+            for n in {math.ceil(x), math.ceil(min(10 * x, sys.float_info.max))}:
+                mn = mpmath.mpf(n)
+                rate_n = mn if x == n else (mn - mx) * mpmath.log1p(-mx / mn) + mx
+                want["hoeffding"] = mn / (mn + mv2) * (log_f - rate_n)
+                for name, got in zip(bnd.CORE, bnd.core_logs(bnd.TailQuery(x, v, n))):
+                    radius = bnd._LOG_ERROR[name] * abs(got) + sys.float_info.min
+                    assert abs(got - want[name]) <= radius, (name, n)
         assert bnd._bennett_log(x, v) <= bnd._bernstein_log(x, v) < 0.0
 
     def test_the_relative_allowance_of_an_edge(self):
+        # an edge holds within both logs' radii, e |log| + 2^-1022 each
         index = {name: i for i, name in enumerate(bnd.CORE)}
-        logs = [-1e9] * 5
         f, b = index["freedman"], index["bennett"]
-        unit = 2.0**-53 * 1e9  # about the rounding of a log of size 1e9
-        for gap, holds in ((15 * unit, True), (17 * unit, False)):
-            above = list(logs)
-            above[f] = logs[b] + gap  # misses the absolute slack of 1e-10
-            assert gap > bnd.ORDER_SLACK
-            assert bnd.ordering_ok(above) is holds
+        for size in (1e9, 1.0, 1e-300):
+            logs = [-size] * 5
+            radius = (bnd._LOG_ERROR["freedman"] + bnd._LOG_ERROR["bennett"]) * size
+            for share, holds in ((0.9, True), (1.1, False)):
+                above = list(logs)
+                above[f] = logs[b] + share * (radius + 2 * sys.float_info.min)
+                assert bnd.ordering_ok(above) is holds, (size, share)
+        logs = [-1.0] * 5
         for lower, upper in ((math.nan, -1.0), (-1.0, math.nan), (-1.0, -math.inf)):
             broken = list(logs)
             broken[f], broken[b] = lower, upper
             assert not bnd.ordering_ok(broken)
         both = [-math.inf] * 5  # -inf below -inf holds
         assert bnd.ordering_ok(both)
+
+    @pytest.mark.parametrize("x, v, lower, upper", [
+        (5.603992112951361e-07, 47.96235552217282, "freedman", "bennett"),
+        (8.026607477373233e-08, 2.685118341989184, "bennett", "bernstein"),
+    ])
+    def test_float_inversions_within_the_radii(self, x, v, lower, upper):
+        # real inversions in floats: the log that should be lower sits 3.25 and
+        # 1.99 units of 2^-53 (|lower| + |upper|) above the upper one, and the
+        # chain holds there
+        logs = dict(zip(bnd.CORE, bnd.core_logs(bnd.TailQuery(x, v, 1))))
+        assert logs[lower] > logs[upper]
+        assert bnd.ordering_ok(tuple(logs.values()))
 
     @pytest.mark.parametrize("n", HUGE_N, ids=("2^1024", "2^1024-2^970", "10^400"))
     def test_horizons_past_the_doubles_are_refused(self, n):
@@ -563,12 +657,14 @@ class TestRegistry:
         assert bnd.ordering_ok(logs)
         index = {name: i for i, name in enumerate(bnd.CORE)}
         for lower, upper in bnd.ORDERING:
+            # 5e-11 is over 6000 of an edge's radii at these logs (about -0.4)
             broken = list(logs)
-            broken[index[lower]] = logs[index[upper]] + 2 * bnd.ORDER_SLACK
+            broken[index[lower]] = logs[index[upper]] + 5e-11
             assert not bnd.ordering_ok(broken)
-        # within the slack is not a violation
+        # within the radii is not a violation
         within = list(logs)
-        within[index["hoeffding"]] = logs[index["freedman"]] + bnd.ORDER_SLACK / 2
+        f = logs[index["freedman"]]
+        within[index["hoeffding"]] = f + bnd._LOG_ERROR["freedman"] * abs(f)
         assert bnd.ordering_ok(within)
         # a log above 0 is not a probability, even with every edge intact
         positive = list(logs)
@@ -577,8 +673,8 @@ class TestRegistry:
 
     def test_all_lists_bounds_and_types_only(self):
         # bench/tracing.py wraps every function in __all__ as a bound call
-        for name in ("CORE", "ORDERING", "ORDER_SLACK", "_TABLE", "_evaluate", "core_logs",
-                     "ordering_ok"):
+        for name in ("CORE", "ORDERING", "_LOG_ERROR", "_TABLE", "_evaluate", "_edge_holds",
+                     "core_logs", "ordering_ok"):
             assert name not in bnd.__all__
 
 

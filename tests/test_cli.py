@@ -1,9 +1,12 @@
 """CLI surface: output schemas, exit codes, config replay."""
 
 import ast
+import functools
+import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -297,8 +300,8 @@ def test_grid_check_of_per_block_lists_keeps_product_order(blocks):
 
 #: Points where the ordering chain or the Bennett and Bernstein kernels
 #: failed on valid queries: two logs of size 8e8 and 2e5 whose rounding
-#: exceeds the absolute slack, then x^2 and Bennett's denominator both
-#: overflowing (NaN), x^2 alone (-inf), and 2x/(3v^2) alone (-0).
+#: is far above 1e-10, then x^2 and Bennett's denominator both overflowing
+#: (NaN), x^2 alone (-inf), and 2x/(3v^2) and x/v^2 (-0, and -inf for F).
 LARGE_POINTS = [
     (1.4276988735455078e+20, 3494108508243913.5, 29483769812635640397825),
     (1.1732646865674703e+18, 1837973035557215.0, 3678587061314785281),
@@ -315,6 +318,43 @@ def test_large_points_pass_the_chain(x, v, n, tmp_path, capsys):
     code, out, err = run(["compare", "--grid", str(grid)], capsys)
     assert (code, err) == (0, "")
     assert {line.split(",")[12] for line in out.splitlines()[1:]} == {"PASS"}
+
+
+def test_compare_writes_the_same_bytes_with_the_bounds_wrapped(tmp_path, capsys, monkeypatch):
+    # the sweep benchmark runs compare on its grid files in one process, and
+    # its traced run does so again with every function in bounds.__all__
+    # behind a pass-through wrapper: both must write the bytes of the first
+    # run.  Two grids built as the sweep builds them, at n = 10 and 10^6,
+    # with v = 3e4 and x near 1e-10, the kernels' cancellation regime
+    from smbounds import bounds as bnd
+
+    rng = random.Random(7)
+    grids = []
+    for i, n in enumerate((10, 10**6)):
+        xs = {0.0, 0.3 * n, 0.7 * n, float(n)} | {10.0 ** rng.uniform(-12.0, -9.0) for _ in range(3)}
+        xs |= {rng.uniform(0.0, n) for _ in range(20)}
+        vs = [3.0e4] + [math.exp(rng.uniform(math.log(0.05), math.log(50.0))) for _ in range(4)]
+        grid = tmp_path / f"grid{i}.cfg"
+        grid.write_text(f"x = {','.join(map(repr, sorted(xs)))}\n"
+                        f"v = {','.join(map(repr, vs))}\nn = {n}\n")
+        grids.append(grid)
+
+    def compare_all(tag):
+        outputs = []
+        for i, grid in enumerate(grids):
+            out_file = tmp_path / f"{tag}{i}.csv"
+            assert run(["compare", "--grid", str(grid), "--out", str(out_file)], capsys)[0] == 0
+            outputs.append(out_file.read_bytes())
+        return outputs
+
+    first = compare_all("first")
+    for attr in bnd.__all__:
+        fn = getattr(bnd, attr)
+        if inspect.isfunction(fn):
+            monkeypatch.setattr(bnd, attr, functools.wraps(fn)(
+                lambda *args, fn=fn, **kwargs: fn(*args, **kwargs)))
+    assert compare_all("wrapped") == first
+    assert all(b"FAIL" not in out for out in first)
 
 
 @pytest.mark.parametrize("x, v, n", LARGE_POINTS[2:])

@@ -337,9 +337,11 @@ class TestRawCut:
     """Philox's raw output r gives the uniform (r >> 11) * 2^-53, so a step is
     an up step exactly when r <= ceil(p * 2^53) * 2^11 - 1."""
 
-    # p_hi of extremal:1e17 rounds to 1.0; then the last up output is 2^64 - 1
+    # p_hi of extremal:1e17 rounds to 1.0; then the last up output is 2^64 - 1.
+    # 0.2 and 0.45 / 1.45 are b/(1 + b) at b = 0.25 and 0.45 rounded once, two
+    # and one ulps above the corpus laws' p_hi, which is 1 - 1/(1 + b)
     PROBS = list(dict.fromkeys(
-        [0.5, 0.45, 1 / 3, 2.0**-60, 1 - 2.0**-53, 12345 * 2.0**-53, 1.0]
+        [0.5, 0.45, 1 / 3, 2.0**-60, 1 - 2.0**-53, 12345 * 2.0**-53, 1.0, 0.2, 0.45 / 1.45]
         + [law.atoms()[0][1] for law in suites._corpus_laws()]
         + [inst.law.atoms()[0][1] for inst in suites.mc_corpus() if inst.law.atoms()]))
 

@@ -1,6 +1,7 @@
 """Increment-law zoo: moments, truncation, sampling, and event logic."""
 
 import math
+import random
 import re
 from fractions import Fraction
 
@@ -27,7 +28,8 @@ ZOO = [
 class TestLawConstruction:
     def test_extremal_atoms(self):
         law = prc.TwoPointExtremal(0.25)
-        assert law.atoms() == ((1.0, 0.2), (-0.25, 0.8))
+        # 1 - 0.8 = 0.19999999999999996, not 0.2: the pair sums to exactly 1
+        assert law.atoms() == ((1.0, 1.0 - 0.8), (-0.25, 0.8))
         assert law.mean() == pytest.approx(0.0, abs=1e-15)
         assert law.second_moment() == pytest.approx(0.25, rel=1e-15)
 
@@ -41,6 +43,17 @@ class TestLawConstruction:
         assert (p_hi, p_lo) == pytest.approx((1 / 3, 2 / 3), rel=1e-15)
         assert law.mean() == pytest.approx(-0.1, abs=1e-15)
         assert law.second_moment() == pytest.approx(0.51, rel=1e-14)
+
+    def test_factory_probabilities_sum_to_exactly_one(self):
+        # the larger is kept and the smaller is 1 - larger, exact by Sterbenz;
+        # b/(1+b) and 1/(1+b) missed 1 by 5.55e-17 for most b (-8.3e-17 at 0.3)
+        rng = random.Random(40)
+        bs = [0.3, 0.45, 0.5, 1.0, 2.0] + [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(500)]
+        for b in bs:
+            for law in (prc.TwoPointExtremal(b), prc.TwoPointBounded(b),
+                        prc.DriftedTwoPoint(b, b * rng.random())):
+                assert Fraction(law.p_hi) + Fraction(law.p_lo) == 1, law
+                assert max(law.p_hi, law.p_lo) in (b / (1.0 + b), 1.0 / (1.0 + b)), law
 
     def test_validation(self):
         # each error names the parameter the caller passed

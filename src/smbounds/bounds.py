@@ -216,9 +216,10 @@ def _hoeffding_log(x: float, v: float, n: int) -> float:
     if x > n:
         return -math.inf
     v2 = v * v
-    total = n + v2
-    # where n + v^2 overflows, both are above 2^970 and halve exactly
-    q = n / total if total < math.inf else 0.5 * n / (0.5 * n + 0.5 * v2)
+    # n/(n + v^2) with n and v^2 halved, so that n + v^2 cannot overflow; it
+    # has the same bits wherever n + v^2 is finite, as halving is exact for
+    # n >= 1 and v^2 >= 2^-1021, and below that n + v^2 rounds to n
+    q = 0.5 * n / (0.5 * n + 0.5 * v2)
     return q * (0.0 - (_rate(x, v2) + _rate(-x, n)))
 
 

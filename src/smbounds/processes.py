@@ -55,7 +55,8 @@ class TwoPoint:
     """Law on an upper atom `hi` with probability `p_hi` and a lower atom `lo`
     with probability `p_lo`; `name` is its CLI label.  Build it with
     `TwoPointExtremal`, `TwoPointBounded` or `DriftedTwoPoint`, whose
-    probabilities sum to exactly 1; a pair passed here is kept as it is."""
+    probabilities add to 1.0 in floats (exactly where b <= 1) and whose mean
+    is kept within three units; a pair passed here is kept as it is."""
 
     hi: float
     lo: float
@@ -135,11 +136,13 @@ def DriftedTwoPoint(b: float, delta: float) -> TwoPoint:
     _require_positive("b", b)
     if not (math.isfinite(delta) and 0 <= delta <= b):
         raise ValueError(f"delta must be in [0, b], got delta={delta}, b={b}")
-    p_hi, p_lo = b / (1.0 + b), 1.0 / (1.0 + b)
-    # 1 - the larger, which is at least 1/2, is exact (Sterbenz), so the pair
-    # sums to exactly 1; not where the larger rounds to 1 and that would be 0
-    if max(p_hi, p_lo) < 1.0:
-        p_hi, p_lo = (p_hi, 1.0 - p_hi) if p_hi >= p_lo else (1.0 - p_lo, p_lo)
+    # P(-b) = 1/(1+b) is within two units of itself, so the mean p_hi - b p_lo
+    # stays within three units of 0 for every b; P(1) = 1 - p_lo is exact by
+    # Sterbenz for b <= 1 and rounded to nearest above, so p_hi + p_lo rounds
+    # to 1.0 (p_lo = 1 - p_hi would carry p_hi's error, times b, into the
+    # mean); not where p_lo rounds to 1 and p_hi would be 0
+    p_lo = 1.0 / (1.0 + b)
+    p_hi = 1.0 - p_lo if p_lo < 1.0 else b / (1.0 + b)
     return TwoPoint(1.0 - delta, -b - delta, p_hi, p_lo,
                     f"drifted:{_param_text(b)},{_param_text(delta)}")
 

@@ -338,10 +338,11 @@ class TestRawCut:
     an up step exactly when r <= ceil(p * 2^53) * 2^11 - 1."""
 
     # p_hi of extremal:1e17 rounds to 1.0; then the last up output is 2^64 - 1.
-    # 0.2 and 0.45 / 1.45 are b/(1 + b) at b = 0.25 and 0.45 rounded once, two
-    # and one ulps above the corpus laws' p_hi, which is 1 - 1/(1 + b)
+    # 0.2, 0.45 / 1.45 and 2 / 3 are b/(1 + b) at b = 0.25, 0.45 and 2 rounded
+    # once: two ulps above, one above and one below the corpus laws' p_hi,
+    # which is 1 - 1/(1 + b)
     PROBS = list(dict.fromkeys(
-        [0.5, 0.45, 1 / 3, 2.0**-60, 1 - 2.0**-53, 12345 * 2.0**-53, 1.0, 0.2, 0.45 / 1.45]
+        [0.5, 0.45, 1 / 3, 2.0**-60, 1 - 2.0**-53, 12345 * 2.0**-53, 1.0, 0.2, 0.45 / 1.45, 2 / 3]
         + [law.atoms()[0][1] for law in suites._corpus_laws()]
         + [inst.law.atoms()[0][1] for inst in suites.mc_corpus() if inst.law.atoms()]))
 

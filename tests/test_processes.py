@@ -44,16 +44,23 @@ class TestLawConstruction:
         assert law.mean() == pytest.approx(-0.1, abs=1e-15)
         assert law.second_moment() == pytest.approx(0.51, rel=1e-14)
 
-    def test_factory_probabilities_sum_to_exactly_one(self):
-        # the larger is kept and the smaller is 1 - larger, exact by Sterbenz;
-        # b/(1+b) and 1/(1+b) missed 1 by 5.55e-17 for most b (-8.3e-17 at 0.3)
+    def test_factory_probabilities_sum_to_one_and_keep_the_mean(self):
+        # P(-b) = 1/(1+b) is kept and P(1) = 1 - P(-b), exact by Sterbenz for
+        # b <= 1 and rounded to nearest above, so the float sum is 1.0 and the
+        # mean 1 - (1+b) P(-b) is off by three units at most; b/(1+b) and
+        # 1/(1+b) missed 1 by 5.55e-17 for most b (-8.3e-17 at 0.3), and
+        # 1 - b/(1+b) put the mean of extremal:1e12 at +2.2e-5
         rng = random.Random(40)
-        bs = [0.3, 0.45, 0.5, 1.0, 2.0] + [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(500)]
+        bs = [0.3, 0.45, 0.5, 1.0, 2.0, 1e12] + [10.0 ** rng.uniform(-12.0, 12.0) for _ in range(500)]
         for b in bs:
-            for law in (prc.TwoPointExtremal(b), prc.TwoPointBounded(b),
-                        prc.DriftedTwoPoint(b, b * rng.random())):
-                assert Fraction(law.p_hi) + Fraction(law.p_lo) == 1, law
-                assert max(law.p_hi, law.p_lo) in (b / (1.0 + b), 1.0 / (1.0 + b)), law
+            delta = b * rng.random()
+            for law, drift in ((prc.TwoPointExtremal(b), 0.0), (prc.TwoPointBounded(b), 0.0),
+                               (prc.DriftedTwoPoint(b, delta), delta)):
+                assert law.p_hi + law.p_lo == 1.0, law
+                if b <= 1.0:
+                    assert Fraction(law.p_hi) + Fraction(law.p_lo) == 1, law
+                assert law.p_lo == 1.0 / (1.0 + b), law
+                assert abs(law.mean() + drift) <= 4.0 * 2.0**-53 * (1.0 + drift), law
 
     def test_validation(self):
         # each error names the parameter the caller passed
